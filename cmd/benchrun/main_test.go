@@ -228,3 +228,20 @@ func TestReadDocErrors(t *testing.T) {
 		t.Error("config-less document accepted")
 	}
 }
+
+// TestGatePhase2Evals: the phase-2 objective-evaluation counter is gated
+// exactly — any growth fails, a reduction passes.
+func TestGatePhase2Evals(t *testing.T) {
+	base := sampleDoc()
+	base.Configs[0].Phase2Evals = 1000
+	fewer := sampleDoc()
+	fewer.Configs[0].Phase2Evals = 999
+	if err := gate(base, fewer, 0.25); err != nil {
+		t.Fatalf("fewer evaluations rejected: %v", err)
+	}
+	more := sampleDoc()
+	more.Configs[0].Phase2Evals = 1001
+	if err := gate(base, more, 0.25); err == nil {
+		t.Fatal("one extra phase-2 evaluation passed the gate")
+	}
+}

@@ -31,7 +31,6 @@ func main() {
 
 	base := placement.DefaultConfig()
 	base.ChunkSize = 64
-	base.MaxMem = prep.MinFeasibleBytes(base) // fullest memory saving
 
 	// Asynchronous precompute (the shipped parallelization) versus the
 	// experimental synchronous across-site scheme.
@@ -48,6 +47,7 @@ func main() {
 	} {
 		cfg := base
 		mode.mut(&cfg)
+		cfg.MaxMem = prep.MinFeasibleBytes(cfg) // fullest memory saving for this worker count
 		start := time.Now()
 		eng, err := placement.New(prep.Part, prep.Tree, cfg)
 		if err != nil {

@@ -404,6 +404,11 @@ func parallelEfficiency(o Options, title string, experimental bool, datasets []s
 					cfg.SyncPrecompute = true
 					cfg.SiteWorkers = threads
 				}
+				if mode.name == "full" {
+					// The floor holds one sumtable per worker, so the fullest
+					// saving is re-derived for each thread count.
+					cfg.MaxMem = p.MinFeasibleBytes(cfg)
+				}
 				m, err := RunEPA(p, cfg, fmt.Sprintf("%s-t%d", mode.name, threads), o.Reps)
 				if err != nil {
 					return nil, err

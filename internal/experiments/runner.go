@@ -50,23 +50,7 @@ func Prepare(ds *workload.Dataset) (*Prepared, error) {
 // PlanConfigFor builds the budget-planner view of a prepared dataset under
 // an engine configuration.
 func (p *Prepared) PlanConfigFor(cfg placement.Config) memacct.PlanConfig {
-	chunk := cfg.ChunkSize
-	if chunk <= 0 {
-		chunk = 5000
-	}
-	return memacct.PlanConfig{
-		MaxMem:    cfg.MaxMem,
-		Branches:  p.Tree.NumBranches(),
-		InnerCLVs: p.Tree.NumInnerCLVs(),
-		MinSlots:  p.Tree.MinSlots() + 1,
-		Patterns:  p.Part.NumPatterns(),
-		Sites:     p.Part.Comp.OriginalWidth(),
-		States:    p.Part.States(),
-		CLVBytes:  p.Part.CLVBytes(),
-		NumLeaves: p.Tree.NumLeaves(),
-		ChunkSize: chunk,
-		BlockSize: cfg.BlockSize,
-	}
+	return placement.PlanConfig(p.Part, p.Tree, cfg)
 }
 
 // ReferenceBytes returns the planned reference-mode footprint.

@@ -262,6 +262,8 @@ func (s *fitState) optimizeBranches(cur float64) (float64, error) {
 			s.evals++
 			return -part.EdgeLogLik(opA, opB, pm)
 		}
+		// Absolute tolerance: 1e-6 expected substitutions per site, far
+		// below any branch length the fit reports.
 		r := numeric.BrentMin(obj, minBranch, maxBranch, 1e-6, 32)
 		if -r.F > cur-1e-12 { // accept only non-degrading moves
 			e.Length = r.X
@@ -289,6 +291,7 @@ func (s *fitState) optimizeAlpha(msa *seq.MSA, gammaCats int, cur float64) (floa
 		}
 		return -ll
 	}
+	// Absolute tolerance in log α: 1e-3 is 0.1% of α at any magnitude.
 	r := numeric.BrentMin(obj, math.Log(0.02), math.Log(100), 1e-3, 24)
 	if lastErr != nil {
 		return 0, lastErr
@@ -324,6 +327,7 @@ func (s *fitState) optimizeExchangeabilities(msa *seq.MSA, gammaCats int, cur fl
 			}
 			return -ll
 		}
+		// Absolute tolerance in the log rate: 0.1% of the rate.
 		r := numeric.BrentMin(obj, math.Log(1e-3), math.Log(1e3), 1e-3, 20)
 		if lastErr != nil {
 			return 0, lastErr

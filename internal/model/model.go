@@ -39,6 +39,11 @@ func (m *Model) States() int { return m.states }
 // not modify it).
 func (m *Model) Freqs() []float64 { return m.freqs }
 
+// Eigen returns the eigen system P(t) = right · diag(exp(λ t)) · left: the
+// eigenvalues λ and the row-major states×states right and left matrices.
+// The slices alias the model; callers must not modify them.
+func (m *Model) Eigen() (evals, right, left []float64) { return m.evals, m.right, m.left }
+
 // NewReversible builds a reversible model from stationary frequencies and
 // symmetric exchangeabilities. exch is a full states×states row-major matrix
 // whose diagonal is ignored; it must be symmetric with positive off-diagonal

@@ -29,7 +29,10 @@ func BrentMin(f func(float64) float64, lo, hi, tol float64, maxIter int) BrentRe
 	iters := 0
 	for ; iters < maxIter; iters++ {
 		m := 0.5 * (lo + hi)
-		tol1 := tol*math.Abs(x) + 1e-12
+		// tol is absolute: stopping once both bracket ends lie within
+		// 2·tol1 = tol of x bounds |x − x*| by tol. The machine-epsilon term
+		// only keeps probes above the float64 spacing at x.
+		tol1 := 0.5*tol + 2.2e-16*math.Abs(x)
 		tol2 := 2 * tol1
 		if math.Abs(x-m) <= tol2-0.5*(hi-lo) {
 			break

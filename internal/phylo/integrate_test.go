@@ -7,6 +7,16 @@ import (
 	"phylomem/internal/numeric"
 )
 
+// gridLogLik integrates the query's likelihood against the branch CLV over
+// the pendant grid with sc's sumtable (premasking on), as the posterior path
+// does at a zero-length branch.
+func gridLogLik(bclv []float64, bscale []int32, q []uint32, pends, logw []float64, sc *Scratch) float64 {
+	st := sc.Sumtable()
+	st.LoadQuery(q, true)
+	st.PendantFromCLV(bclv, bscale)
+	return st.PendantGridLogLik(pends, logw)
+}
+
 // TestPendantGridMatchesManualLogSumExp: the streaming fold must equal a
 // two-pass log-sum-exp over individually computed QueryLogLik values.
 func TestPendantGridMatchesManualLogSumExp(t *testing.T) {
@@ -25,7 +35,7 @@ func TestPendantGridMatchesManualLogSumExp(t *testing.T) {
 	}
 
 	sc := fx.p.NewScratch()
-	got := fx.p.QueryLogLikPendantGrid(bclv, bscale, q, pends, logw, true, sc)
+	got := gridLogLik(bclv, bscale, q, pends, logw, sc)
 
 	// Manual reference: max-shifted sum of exp over per-node terms.
 	terms := make([]float64, len(pends))
@@ -66,9 +76,9 @@ func TestPendantGridDeterministic(t *testing.T) {
 	}
 
 	sc := fx.p.NewScratch()
-	first := fx.p.QueryLogLikPendantGrid(bclv, bscale, q, pends, logw, true, sc)
+	first := gridLogLik(bclv, bscale, q, pends, logw, sc)
 	for i := 0; i < 3; i++ {
-		if v := fx.p.QueryLogLikPendantGrid(bclv, bscale, q, pends, logw, true, sc); v != first {
+		if v := gridLogLik(bclv, bscale, q, pends, logw, sc); v != first {
 			t.Fatalf("run %d: %v != %v", i, v, first)
 		}
 	}
@@ -93,7 +103,7 @@ func TestPendantGridRefinementConverges(t *testing.T) {
 			logw[i] = math.Log(w)
 		}
 		sc := fx.p.NewScratch()
-		return fx.p.QueryLogLikPendantGrid(bclv, bscale, q, pends, logw, true, sc)
+		return gridLogLik(bclv, bscale, q, pends, logw, sc)
 	}
 	ref := eval(32)
 	prev := math.Inf(1)

@@ -56,6 +56,9 @@ type Scratch struct {
 	blkProd  []float64
 	blkPen   []float64
 
+	// Phase-2 branch-length tables (see sumtable.go), created on first use.
+	sum *Sumtable
+
 	// Caller-reusable buffers, grown on demand (see P and CLV).
 	pbufs   [][]float64
 	clvbufs [][]float64

@@ -53,23 +53,19 @@ func ParseScoringMode(s string) (ScoringMode, error) {
 func (c Config) bayes() bool { return c.Scoring == ScoringBayes }
 
 // initBayesGrids precomputes the fixed quadrature grids the posterior path
-// integrates over: the pendant-length Gauss-Legendre rule on [pendLo,
+// integrates over: the pendant-length Gauss-Legendre rule on [p2PendLo,
 // maxPend] with log-weights that already include the uniform prior's
 // −log(range), and the unit proximal rule on [-1, 1] that integrateCandidate
 // maps onto each branch's [0, length]. Precomputing once per engine makes
 // the grid — and therefore the output bytes — a pure function of the config.
 func (e *Engine) initBayesGrids() {
-	maxPend := 4 * e.avgBranch
-	if maxPend < 1e-4 {
-		maxPend = 1e-4
-	}
-	const pendLo = 1e-8
+	maxPend := e.maxPendant()
 	n := e.cfg.BayesPendantNodes
 	nodes, weights := numeric.GaussLegendre(n)
 	e.bayesPend = make([]float64, n)
 	ws := make([]float64, n)
-	numeric.MapInterval(nodes, weights, pendLo, maxPend, e.bayesPend, ws)
-	logRange := math.Log(maxPend - pendLo)
+	numeric.MapInterval(nodes, weights, p2PendLo, maxPend, e.bayesPend, ws)
+	logRange := math.Log(maxPend - p2PendLo)
 	e.bayesLogW = make([]float64, n)
 	for i, w := range ws {
 		e.bayesLogW[i] = math.Log(w) - logRange
@@ -84,34 +80,32 @@ func (e *Engine) initBayesGrids() {
 // order of 1) collapse to the pendant-only marginal at the precomputed
 // midpoint CLV — the integrand is position-independent there.
 //
-// Buffer discipline matches scoreCandidate, which runs immediately before on
-// the same worker: P(0) is the pendant matrix (inside the grid kernel),
-// P(1)/P(2) the proximal pair, CLV(0) the insertion CLV. The outer proximal
-// fold is the same streaming log-sum-exp as the pendant kernel's, in grid
-// order, so the result is bit-reproducible.
-func (e *Engine) integrateCandidate(ent *branchEntry, codes []uint32, c *candidate, sc *phylo.Scratch) {
+// It runs on the worker's sumtable right after scoreCandidate, with the
+// query already loaded (and the branch operands too when branchLoaded): each
+// proximal node builds the pendant table from the insertion vector at the
+// query's informative sites only, and each pendant node then costs
+// rates×states exps plus one dot product per site. The outer proximal fold
+// is the same streaming log-sum-exp as the pendant grid's, in grid order, so
+// the result is bit-reproducible.
+func (e *Engine) integrateCandidate(ent *branchEntry, c *candidate, st *phylo.Sumtable, branchLoaded bool) {
 	start := time.Now()
-	part := e.part
 	blen := ent.edge.Length
 	evals := len(e.bayesPend)
 	if blen <= 1e-9 || len(e.glX) <= 1 {
-		c.postLL = part.QueryLogLikPendantGrid(ent.m, ent.ms, codes, e.bayesPend, e.bayesLogW, e.cfg.SkipGaps, sc)
+		st.PendantFromCLV(ent.m, ent.ms)
+		c.postLL = st.PendantGridLogLik(e.bayesPend, e.bayesLogW)
 	} else {
-		scratch, scratchScale := sc.CLV(0)
-		pu, pv := sc.P(1), sc.P(2)
-		uop := operandOf(ent.u)
-		vop := operandOf(ent.v)
+		if !branchLoaded {
+			st.LoadBranch(operandOf(ent.u), operandOf(ent.v), blen)
+		}
 		logBlen := math.Log(blen)
 		m := math.Inf(-1)
 		s := 0.0
 		for j := range e.glX {
 			x := 0.5 * blen * (e.glX[j] + 1)
 			w := 0.5 * blen * e.glW[j]
-			part.FillP(pu, x)
-			part.FillP(pv, blen-x)
-			part.UpdateCLVScratch(scratch, scratchScale, uop, vop, pu, pv, sc)
-			term := math.Log(w) - logBlen +
-				part.QueryLogLikPendantGrid(scratch, scratchScale, codes, e.bayesPend, e.bayesLogW, e.cfg.SkipGaps, sc)
+			st.PendantAt(x)
+			term := math.Log(w) - logBlen + st.PendantGridLogLik(e.bayesPend, e.bayesLogW)
 			if term <= m {
 				s += math.Exp(term - m)
 			} else {

@@ -288,6 +288,9 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 	// Phase 2: thorough scoring of candidates, grouped into branch blocks in
 	// DFS order for slot locality.
 	start = time.Now()
+	for w := range e.wopt {
+		e.wopt[w] = OptimizerStats{}
+	}
 	candEdges := e.candEdges[:0]
 	for _, edge := range e.branchOrder {
 		if branchStart[edge.ID+1] > branchStart[edge.ID] {
@@ -310,7 +313,7 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 		e.pool.ForEach(len(tasks), func(ti, worker int) {
 			t := tasks[ti]
 			c := &arena[t.cand]
-			e.scoreCandidate(t.ent, chunk[c.query].Codes, c, e.wscratch[worker])
+			e.scoreCandidate(t.ent, chunk[c.query].Codes, c, e.wscratch[worker], &e.wopt[worker])
 		})
 		return nil
 	})
@@ -318,6 +321,14 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 		return nil, err
 	}
 	e.stats.Phase2 += time.Since(start)
+	// Fold the workers' optimizer counters: integer sums, so the totals are
+	// independent of which worker scored which candidate.
+	var opt OptimizerStats
+	for _, w := range e.wopt {
+		opt.add(w)
+	}
+	e.stats.Optimizer.add(opt)
+	e.p2tel.Record(opt.Candidates, opt.Evals, opt.NewtonIters, opt.Bisections, opt.BoundHits, opt.CapHits, opt.Uninformative)
 
 	if e.cfg.bayes() {
 		e.stats.CandidatesIntegrated += int(branchStart[nb])
@@ -341,73 +352,114 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 	return out, nil
 }
 
-// scoreCandidate optimizes the placement of one query on one branch. The
-// pendant length is always optimized (Brent); in thorough mode the distal
-// (insertion) position along the branch is optimized as well, re-deriving
-// the insertion CLV from the block's directional snapshots. All buffers come
-// from the calling worker's scratch, so the per-candidate work is
-// allocation-free after warm-up.
-func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, sc *phylo.Scratch) {
-	part := e.part
-	ppend := sc.P(0)
-	blen := ent.edge.Length
+// Phase-2 solver settings. p2Tol is the absolute branch-length tolerance of
+// every Newton solve; p2MaxIter caps each solve's derivative evaluations (a
+// converging solve stays far below it, and hitting it is counted);
+// p2PendLo is the shortest pendant length considered.
+const (
+	p2Tol     = 1e-7
+	p2MaxIter = 64
+	p2PendLo  = 1e-8
+)
 
-	maxPend := 4 * e.avgBranch
-	if maxPend < 1e-4 {
-		maxPend = 1e-4
-	}
-	optimizePendant := func(bclv []float64, bscale []int32) (float64, float64) {
-		obj := func(p float64) float64 {
-			part.FillP(ppend, p)
-			return -part.QueryLogLikScratch(bclv, bscale, codes, ppend, e.cfg.SkipGaps, sc)
-		}
-		r := numeric.BrentMin(obj, 1e-8, maxPend, 1e-4, 24)
-		return r.X, -r.F
-	}
+// maxPendant is the longest pendant length phase 2 considers: four times the
+// mean reference branch length, at least 1e-4.
+func (e *Engine) maxPendant() float64 {
+	return math.Max(4*e.avgBranch, 1e-4)
+}
 
-	pend, ll := optimizePendant(ent.m, ent.ms)
-	distal := blen / 2
-
-	if e.cfg.Thorough && blen > 1e-9 {
-		// Optimize the insertion point with the pendant fixed, then refine
-		// the pendant once more at the optimal position.
-		scratch, scratchScale := sc.CLV(0)
-		pu := sc.P(1)
-		pv := sc.P(2)
-		part.FillP(ppend, pend)
-		uop := operandOf(ent.u)
-		vop := operandOf(ent.v)
-		objDistal := func(x float64) float64 {
-			part.FillP(pu, x)
-			part.FillP(pv, blen-x)
-			part.UpdateCLVScratch(scratch, scratchScale, uop, vop, pu, pv, sc)
-			return -part.QueryLogLikScratch(scratch, scratchScale, codes, ppend, e.cfg.SkipGaps, sc)
-		}
-		r := numeric.BrentMin(objDistal, 1e-9*blen, blen*(1-1e-9), 0.02*blen, 10)
-		if -r.F > ll {
-			distal = r.X
-			part.FillP(pu, distal)
-			part.FillP(pv, blen-distal)
-			part.UpdateCLVScratch(scratch, scratchScale, uop, vop, pu, pv, sc)
-			pend2, ll2 := optimizePendant(scratch, scratchScale)
-			if ll2 > -r.F {
-				pend, ll = pend2, ll2
-			} else {
-				ll = -r.F
-			}
-		}
-	}
-	c.loglik = ll
-	c.distal = distal
-	c.pend = pend
+// scoreCandidate optimizes the placement of one query on one branch with
+// the worker's sumtables (phylo.Sumtable) and safeguarded Newton–Raphson
+// solves (numeric.NewtonMax), in three stages:
+//
+//  1. the pendant length at the branch midpoint (the block's midpoint CLV);
+//  2. in thorough mode, the distal position with that pendant fixed;
+//  3. if stage 2 improved on stage 1, the pendant length again at the new
+//     position, keeping the better of stages 2 and 3.
+//
+// The tables are built once per stage from the block's snapshots and cover
+// the query's informative sites only; each solver step costs a few exps and
+// dot products, and a log is taken only for each stage's final value. A
+// query without informative sites skips the solvers and reports the start
+// point (midpoint, start pendant) with log-likelihood 0. All buffers come
+// from the calling worker's scratch, so the work is allocation-free after
+// warm-up, and the optimizer counters go to the worker's own stats.
+func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, sc *phylo.Scratch, tally *OptimizerStats) {
+	st := sc.Sumtable()
+	sg, branchLoaded := e.optimizeStages(ent, codes, st, tally)
+	c.distal, c.pend, c.loglik = sg.result(ent.edge.Length)
 
 	if e.cfg.bayes() {
-		// The posterior marginal shares this worker's scratch and the block's
-		// operand snapshots; it runs after the ML optimization so both scores
-		// are reported (pplacer keeps the ML branch lengths alongside
-		// post_prob).
-		e.integrateCandidate(ent, codes, c, sc)
+		// The posterior marginal shares this worker's sumtable (query
+		// already loaded) and the block's operand snapshots; it runs after
+		// the ML optimization so both scores are reported (pplacer keeps the
+		// ML branch lengths alongside post_prob).
+		e.integrateCandidate(ent, c, st, branchLoaded)
 	}
+}
+
+// stages is one candidate's optimization trace: every stage's optimum and
+// log-likelihood. Stages that did not run keep a log-likelihood of -Inf.
+type stages struct {
+	pend1, ll1   float64 // 1: pendant length at the branch midpoint
+	distal2, ll2 float64 // 2: distal position, pendant fixed at pend1
+	pend3, ll3   float64 // 3: pendant length at distal2
+}
+
+// result picks the reported placement: stage 1 at the midpoint, unless
+// stage 2 improved on it, then the better of stages 2 and 3.
+func (sg stages) result(blen float64) (distal, pend, ll float64) {
+	distal, pend, ll = blen/2, sg.pend1, sg.ll1
+	if sg.ll2 > ll {
+		distal, ll = sg.distal2, sg.ll2
+		if sg.ll3 > sg.ll2 {
+			pend, ll = sg.pend3, sg.ll3
+		}
+	}
+	return distal, pend, ll
+}
+
+// optimizeStages runs the three optimization stages on the worker's
+// sumtable and reports whether it left the branch operands loaded.
+func (e *Engine) optimizeStages(ent *branchEntry, codes []uint32, st *phylo.Sumtable, tally *OptimizerStats) (stages, bool) {
+	blen := ent.edge.Length
+	maxPend := e.maxPendant()
+	sg := stages{
+		pend1: math.Min(math.Max(e.pendant0, p2PendLo), maxPend),
+		ll2:   math.Inf(-1),
+		ll3:   math.Inf(-1),
+	}
+	tally.Candidates++
+	if st.LoadQuery(codes, e.cfg.SkipGaps) == 0 {
+		// The likelihood is constant (0) in both lengths: report the start.
+		tally.Uninformative++
+		return sg, false
+	}
+	st.PendantFromCLV(ent.m, ent.ms)
+	sg.pend1, sg.ll1 = solvePendant(st, sg.pend1, maxPend, tally)
+	if !e.cfg.Thorough || blen <= 1e-9 {
+		return sg, false
+	}
+	st.LoadBranch(operandOf(ent.u), operandOf(ent.v), blen)
+	st.FixPendant(sg.pend1)
+	r := numeric.NewtonMax(st.DistalDerivs, blen/2, 0, blen, p2Tol, p2MaxIter)
+	tally.solved(r)
+	tally.Evals++
+	sg.distal2, sg.ll2 = r.X, st.DistalLogLik(r.X)
+	if sg.ll2 > sg.ll1 {
+		st.PendantAt(sg.distal2)
+		sg.pend3, sg.ll3 = solvePendant(st, sg.pend1, maxPend, tally)
+	}
+	return sg, true
+}
+
+// solvePendant maximizes the loaded pendant table over [p2PendLo, maxPend]
+// from start and returns the optimum with its log-likelihood.
+func solvePendant(st *phylo.Sumtable, start, maxPend float64, tally *OptimizerStats) (float64, float64) {
+	r := numeric.NewtonMax(st.PendantDerivs, start, p2PendLo, maxPend, p2Tol, p2MaxIter)
+	tally.solved(r)
+	tally.Evals++
+	return r.X, st.PendantLogLik(r.X)
 }
 
 func operandOf(oc operandCopy) phylo.Operand {

@@ -45,6 +45,15 @@ type RunStatsReport struct {
 	SpillErrors       uint64  `json:"spill_errors"`
 	SpillLeafWork     uint64  `json:"spill_reload_leaf_work_saved"`
 
+	// Phase-2 optimizer counters (see OptimizerStats).
+	Phase2Candidates    uint64 `json:"phase2_candidates"`
+	Phase2Evals         uint64 `json:"phase2_evals"`
+	Phase2NewtonIters   uint64 `json:"phase2_newton_iters"`
+	Phase2Bisections    uint64 `json:"phase2_bisections"`
+	Phase2BoundHits     uint64 `json:"phase2_bound_hits"`
+	Phase2CapHits       uint64 `json:"phase2_cap_hits"`
+	Phase2Uninformative uint64 `json:"phase2_uninformative"`
+
 	// Uncertainty-aware scoring (see bayes.go). ScoringMode is "ml" or
 	// "bayes"; the EDPL aggregates are zero when Config.EDPL is off.
 	ScoringMode          string  `json:"scoring_mode"`
@@ -62,6 +71,7 @@ type PlanReport struct {
 	ChunkSize      int   `json:"chunk_size"`
 	BlockSize      int   `json:"block_size"`
 	FixedBytes     int64 `json:"fixed_bytes"`
+	SumtableBytes  int64 `json:"sumtable_bytes"`
 	ChunkBytes     int64 `json:"chunk_bytes"`
 	LookupBytes    int64 `json:"lookup_bytes"`
 	SlotsBytes     int64 `json:"slots_bytes"`
@@ -116,6 +126,14 @@ func (e *Engine) Report() Report {
 			SpillErrors:       s.CLVStats.SpillErrors,
 			SpillLeafWork:     s.CLVStats.ReloadLeafWorkSaved,
 
+			Phase2Candidates:    s.Optimizer.Candidates,
+			Phase2Evals:         s.Optimizer.Evals,
+			Phase2NewtonIters:   s.Optimizer.NewtonIters,
+			Phase2Bisections:    s.Optimizer.Bisections,
+			Phase2BoundHits:     s.Optimizer.BoundHits,
+			Phase2CapHits:       s.Optimizer.CapHits,
+			Phase2Uninformative: s.Optimizer.Uninformative,
+
 			ScoringMode:          string(e.cfg.Scoring),
 			CandidatesIntegrated: s.CandidatesIntegrated,
 			EDPLMean:             s.EDPLMean(),
@@ -129,6 +147,7 @@ func (e *Engine) Report() Report {
 			ChunkSize:      e.plan.ChunkSize,
 			BlockSize:      e.plan.BlockSize,
 			FixedBytes:     e.plan.FixedBytes,
+			SumtableBytes:  e.plan.SumtableBytes,
 			ChunkBytes:     e.plan.ChunkBytes,
 			LookupBytes:    e.plan.LookupBytes,
 			SlotsBytes:     e.plan.SlotsBytes,

@@ -345,6 +345,11 @@ func (e *Engine) Place(queries []placement.Query) ([]jplace.Placements, error) {
 	return out, nil
 }
 
+// pendantTol is the absolute pendant-length tolerance of the Brent search:
+// about 1e-4 of a typical pendant length, and uniform down to the 1e-8
+// floor.
+const pendantTol = 1e-6
+
 // optimizeOn re-reads a branch's CLVs and optimizes the query's pendant
 // length on it. Serialized store access keeps the file-backed mode simple;
 // the extra reads are exactly the I/O cost the memory saving pays for.
@@ -375,6 +380,6 @@ func (e *Engine) optimizeOn(edge *tree.Edge, codes []uint32, sc *phylo.Scratch) 
 	r := numeric.BrentMin(func(p float64) float64 {
 		e.part.FillP(ppend, p)
 		return -e.part.QueryLogLikScratch(bclv, bscale, codes, ppend, true, sc)
-	}, 1e-8, maxPend, 1e-4, 24)
+	}, 1e-8, maxPend, pendantTol, 40)
 	return -r.F, r.X
 }

@@ -20,6 +20,7 @@ type Snapshot struct {
 	Kernel   KernelSnapshot   `json:"kernel"`
 	Spill    SpillSnapshot    `json:"spill"`
 	Scoring  ScoringSnapshot  `json:"scoring"`
+	Phase2   Phase2Snapshot   `json:"phase2"`
 }
 
 // AMCSnapshot is the slot manager section of a Snapshot.
@@ -175,6 +176,19 @@ type ScoringSnapshot struct {
 	EDPLNS               int64  `json:"edpl_ns"`
 }
 
+// Phase2Snapshot is the phase-2 optimizer section of a Snapshot. All-zero
+// when the engine placed no queries (the key set is schema-stable
+// regardless).
+type Phase2Snapshot struct {
+	Candidates    uint64 `json:"candidates"`
+	Evals         uint64 `json:"evals"`
+	NewtonIters   uint64 `json:"newton_iters"`
+	Bisections    uint64 `json:"bisections"`
+	BoundHits     uint64 `json:"bound_hits"`
+	CapHits       uint64 `json:"cap_hits"`
+	Uninformative uint64 `json:"uninformative"`
+}
+
 // FleetSnapshot is the JSON-marshalable view of a Fleet group, the
 // registry-level section of the placed /metrics document. Like Snapshot,
 // every key is always present so the CI schema diff holds across fleet
@@ -304,6 +318,16 @@ func (s *Sink) Snapshot() Snapshot {
 		IntegrateNS:          int64(sc.IntegrateTime.Load()),
 		EDPLQueries:          sc.EDPLQueries.Load(),
 		EDPLNS:               int64(sc.EDPLTime.Load()),
+	}
+	p2 := &s.Phase2
+	out.Phase2 = Phase2Snapshot{
+		Candidates:    p2.Candidates.Load(),
+		Evals:         p2.Evals.Load(),
+		NewtonIters:   p2.NewtonIters.Load(),
+		Bisections:    p2.Bisections.Load(),
+		BoundHits:     p2.BoundHits.Load(),
+		CapHits:       p2.CapHits.Load(),
+		Uninformative: p2.Uninformative.Load(),
 	}
 	return out
 }

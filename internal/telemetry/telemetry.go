@@ -32,7 +32,7 @@ import (
 
 // SchemaVersion identifies the --stats-json layout. Bump on any key rename
 // or removal; additions are backward compatible.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Counter is an atomic event counter.
 type Counter struct{ v atomic.Uint64 }
@@ -628,6 +628,37 @@ func (s *Scoring) EDPLDone(n int, d time.Duration) {
 	s.EDPLTime.Add(d)
 }
 
+// Phase2 counts the phase-2 branch-length optimizer's work: candidates
+// optimized, objective evaluations (derivative evaluations plus each
+// solve's final value), Newton steps, bisection fallbacks, solves ending at
+// a bound (pendant at either limit, distal at a branch end), solves stopped
+// by the evaluation cap, and candidates whose query has no informative site.
+// The placer records each chunk's totals once, after phase 2, so every count
+// is deterministic.
+type Phase2 struct {
+	Candidates    Counter
+	Evals         Counter
+	NewtonIters   Counter
+	Bisections    Counter
+	BoundHits     Counter
+	CapHits       Counter
+	Uninformative Counter
+}
+
+// Record adds one chunk's optimizer totals.
+func (p *Phase2) Record(candidates, evals, iters, bisections, boundHits, capHits, uninformative uint64) {
+	if p == nil {
+		return
+	}
+	p.Candidates.Add(candidates)
+	p.Evals.Add(evals)
+	p.NewtonIters.Add(iters)
+	p.Bisections.Add(bisections)
+	p.BoundHits.Add(boundHits)
+	p.CapHits.Add(capHits)
+	p.Uninformative.Add(uninformative)
+}
+
 // Fleet counts an engine registry's lifecycle activity: lazy construction,
 // the controller's three reclaim levers in escalation order (slot-pool
 // shrink, CLV demotion to the spill tier, whole-engine eviction), and the
@@ -717,6 +748,7 @@ type Sink struct {
 	Kernel   Kernel
 	Spill    Spill
 	Scoring  Scoring
+	Phase2   Phase2
 }
 
 // NewSink returns an empty sink.
@@ -776,6 +808,14 @@ func (s *Sink) SpillGroup() *Spill {
 		return nil
 	}
 	return &s.Spill
+}
+
+// Phase2Group returns &s.Phase2, or nil for a nil sink.
+func (s *Sink) Phase2Group() *Phase2 {
+	if s == nil {
+		return nil
+	}
+	return &s.Phase2
 }
 
 // ScoringGroup returns &s.Scoring, or nil for a nil sink.

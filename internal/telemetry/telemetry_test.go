@@ -85,6 +85,7 @@ func TestNilGroupsAreFreeAndZero(t *testing.T) {
 		pipe.AddLookupBuild(time.Millisecond)
 		pipe.PrefetchInc()
 		pipe.PrefetchDec()
+		sink.Phase2Group().Record(1, 15, 6, 1, 1, 0, 0)
 		tr.Emit(Event{Ev: "x"})
 	})
 	if allocs != 0 {
@@ -108,8 +109,9 @@ func TestNilGroupsAreFreeAndZero(t *testing.T) {
 func TestEnabledGroupsAllocFree(t *testing.T) {
 	sink := NewSink()
 	sink.Pool.Init(4)
-	amc, pool, pipe := sink.AMCGroup(), sink.PoolGroup(), sink.PipelineGroup()
+	amc, pool, pipe, p2 := sink.AMCGroup(), sink.PoolGroup(), sink.PipelineGroup(), sink.Phase2Group()
 	allocs := testing.AllocsPerRun(200, func() {
+		p2.Record(1, 15, 6, 1, 1, 0, 0)
 		amc.Hit()
 		amc.Recompute(17)
 		amc.Evict()
@@ -280,5 +282,19 @@ func TestMissRate(t *testing.T) {
 	}
 	if r := (AMCSnapshot{Hits: 3, Misses: 1}).MissRate(); r != 0.25 {
 		t.Fatalf("miss rate = %v, want 0.25", r)
+	}
+}
+
+func TestPhase2Snapshot(t *testing.T) {
+	sink := NewSink()
+	sink.Phase2Group().Record(3, 45, 20, 4, 2, 1, 1)
+	sink.Phase2Group().Record(1, 10, 5, 0, 0, 0, 0)
+	got := sink.Snapshot().Phase2
+	want := Phase2Snapshot{Candidates: 4, Evals: 55, NewtonIters: 25, Bisections: 4, BoundHits: 2, CapHits: 1, Uninformative: 1}
+	if got != want {
+		t.Fatalf("phase2 snapshot %+v, want %+v", got, want)
+	}
+	if (*Sink)(nil).Phase2Group() != nil {
+		t.Fatal("nil sink returned a phase2 group")
 	}
 }
