@@ -34,7 +34,6 @@ import (
 	"phylomem/internal/jplace"
 	"phylomem/internal/memacct"
 	"phylomem/internal/mlfit"
-	"phylomem/internal/model"
 	"phylomem/internal/phylo"
 	"phylomem/internal/placement"
 	"phylomem/internal/prof"
@@ -71,39 +70,20 @@ func exitCode(err error) int {
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("epang", flag.ContinueOnError)
+	refFlags := refdb.BindFlags(fs)
+	engFlags := placement.BindFlags(fs, "maxmem", "chunk-size", "block-size", "threads", "no-heur",
+		"tile-queries", "tile-branches", "dedup", "no-pipeline", "scoring", "edpl",
+		"bayes-pendant-nodes", "bayes-proximal-nodes", "memsave-strategy",
+		"clv-spill", "clv-spill-path", "clv-spill-policy")
 	var (
-		treeFile  = fs.String("tree", "", "reference tree (Newick)")
-		dbFile    = fs.String("db", "", "load the reference (tree+alignment+model) from a refdb file instead of --tree/--ref-msa/--model")
 		saveDB    = fs.String("save-db", "", "after loading the reference, save it as a refdb file for reuse")
-		refFile   = fs.String("ref-msa", "", "reference alignment (FASTA)")
 		queryFile = fs.String("query", "", "aligned query sequences (FASTA)")
 		splitFile = fs.String("split", "", "combined ref+query alignment to split by the tree's taxa (replaces --ref-msa/--query)")
 		outFile   = fs.String("out", "epa_result.jplace", "output jplace path")
-		modelSpec = fs.String("model", "", "substitution model spec, e.g. GTR+G4{0.5} (default: GTR+G4 for NT, SYNAA+G4 for AA)")
-		empFreqs  = fs.Bool("emp-freqs", true, "use empirical stationary frequencies from the reference alignment")
 		fit       = fs.Bool("fit", false, "ML-optimize branch lengths (and Gamma alpha for NT: exchangeabilities too) before placement")
-		maxmem    = fs.String("maxmem", "", "memory ceiling, e.g. 4G or 512M (empty = unlimited)")
-		chunkSize = fs.Int("chunk-size", 5000, "queries per chunk")
-		blockSize = fs.Int("block-size", memacct.DefaultBlockSize, "branches per precompute block")
-		threads   = fs.Int("threads", 1, "placement worker threads")
-		noHeur    = fs.Bool("no-heur", false, "disable the pre-placement lookup table heuristic")
-		tileQ     = fs.Int("tile-queries", 0, "phase-1 query-tile size (0 = auto from the cache-size estimate)")
-		tileB     = fs.Int("tile-branches", 0, "phase-1 branch-tile size (0 = auto: the precompute block size)")
-		fastMath  = fs.Bool("fast-math", false, "reordered block accumulation in the placement kernels: deterministic, but not bit-identical to the default per-site FP order")
-		dedup     = fs.Bool("dedup", true, "place one representative per distinct query sequence and fan the result out to duplicates (output is identical either way)")
 		nmOut     = fs.Bool("nm", false, "write jplace nm multiplicity entries: queries sharing identical placements collapse into one record carrying every name with its multiplicity")
 		strict    = fs.Bool("strict", false, "abort on malformed query sequences instead of skipping them")
-		scoring   = fs.String("scoring", "ml", "scoring mode: ml (optimized likelihoods) or bayes (posterior probabilities via branch-length integration)")
-		edpl      = fs.Bool("edpl", false, "compute each query's expected distance between placement locations and write it to the jplace output")
-		bayesPN   = fs.Int("bayes-pendant-nodes", 0, "pendant-length quadrature order for --scoring=bayes (0 = default 8)")
-		bayesXN   = fs.Int("bayes-proximal-nodes", 0, "proximal-position quadrature order for --scoring=bayes (0 = default 4)")
-		strategy  = fs.String("memsave-strategy", "costage", "CLV replacement strategy: cost, costage, lru, fifo, random")
-		clvSpill  = fs.Bool("clv-spill", false, "spill evicted CLVs to a disk tier and reload them instead of recomputing (AMC only; output is byte-identical)")
-		spillPath = fs.String("clv-spill-path", "", "spill store file (empty = temporary file, removed on exit)")
-		spillPol  = fs.String("clv-spill-policy", "", "per-victim spill decision: discard, spill, or hybrid (implies --clv-spill; default hybrid)")
-		dataType  = fs.String("type", "NT", "data type: NT or AA")
 		syncPre   = fs.Bool("sync-precompute", false, "synchronous across-site branch-block precompute (experimental)")
-		noPipe    = fs.Bool("no-pipeline", false, "disable overlapped chunk reading (decode chunk N+1 while placing chunk N)")
 		showStats = fs.Bool("stats", false, "print pipeline and worker-pool statistics")
 		statsJSON = fs.String("stats-json", "", "write a structured JSON run report (plan, memory, telemetry) to this file")
 		traceFile = fs.String("trace", "", "write newline-JSON per-chunk trace events to this file")
@@ -123,201 +103,94 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			fmt.Fprintln(os.Stderr, "epang:", perr)
 		}
 	}()
-	if *dbFile == "" && *treeFile == "" {
-		return fmt.Errorf("--tree (or --db) is required")
+	cfg, err := engFlags.Config()
+	if err != nil {
+		return err
 	}
-	if *dbFile == "" && *splitFile == "" && (*refFile == "" || *queryFile == "") {
-		return fmt.Errorf("either --db, --split, or both --ref-msa and --query are required")
+	cfg.SyncPrecompute = *syncPre
+	if *syncPre {
+		cfg.SiteWorkers = cfg.Threads
 	}
-	if *dbFile != "" && *queryFile == "" {
-		return fmt.Errorf("--db mode requires --query")
+	cfg.Strict = *strict
+	refSrc, err := refFlags.Source("split", "fit")
+	if err != nil {
+		return err
+	}
+	if *splitFile == "" && *queryFile == "" {
+		return fmt.Errorf("--query (or --split) is required")
 	}
 
-	var (
-		tr           *tree.Tree
-		msa          *seq.MSA
-		alphabet     *seq.Alphabet
-		m            *model.Model
-		rates        *model.RateHet
-		spec         string
-		splitQueries []seq.Sequence
-	)
-	if *dbFile != "" {
-		// Reference database mode: everything comes from one file.
-		f, err := os.Open(*dbFile)
-		if err != nil {
-			return err
-		}
-		ref, err := refdb.Load(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		tr, msa, alphabet, m, rates, spec = ref.Tree, ref.MSA, ref.Alphabet, ref.Model, ref.Rates, ref.Spec
-	} else {
-		// Load tree and alphabet.
-		tdata, err := os.ReadFile(*treeFile)
-		if err != nil {
-			return err
-		}
-		tr, err = tree.ParseNewick(strings.TrimSpace(string(tdata)))
-		if err != nil {
-			return err
-		}
-		alphabet = seq.DNA
-		if *dataType == "AA" {
-			alphabet = seq.AA
-		} else if *dataType != "NT" {
-			return fmt.Errorf("unknown type %q (want NT or AA)", *dataType)
-		}
-
-		// Load the reference alignment (and split off queries if requested).
-		var refSeqs []seq.Sequence
-		if *splitFile != "" {
+	// --split reads the reference rows of a combined alignment through the
+	// loader and keeps the remaining rows as the queries.
+	var splitQueries []seq.Sequence
+	if *splitFile != "" {
+		refSrc.Refs = func(tr *tree.Tree, alphabet *seq.Alphabet) ([]seq.Sequence, error) {
 			f, err := os.Open(*splitFile)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			all, err := seq.ReadFasta(f)
 			f.Close()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			combined, err := seq.NewMSA(alphabet, all)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			names := make([]string, 0, tr.NumLeaves())
 			for _, leaf := range tr.Leaves() {
 				names = append(names, leaf.Name)
 			}
-			refSeqs, splitQueries, err = seq.SplitMSA(combined, names)
-			if err != nil {
-				return err
-			}
-		} else {
-			f, err := os.Open(*refFile)
-			if err != nil {
-				return err
-			}
-			refSeqs, err = seq.ReadFasta(f)
+			refSeqs, queries, err := seq.SplitMSA(combined, names)
+			splitQueries = queries
+			return refSeqs, err
+		}
+	}
+	ref, err := refSrc.Load()
+	if err != nil {
+		return err
+	}
+	tr, msa, alphabet := ref.Tree, ref.MSA, ref.Alphabet
+
+	// Optional ML fitting of branch lengths / model parameters.
+	if *fit {
+		opts := mlfit.Options{BranchLengths: true, Alpha: ref.Rates.NumRates() > 1, Exchangeabilities: alphabet == seq.DNA}
+		res, err := mlfit.Fit(tr, msa, nil, 1.0, ref.Rates.NumRates(), opts)
+		if err != nil {
+			return fmt.Errorf("model fitting: %w", err)
+		}
+		ref.Model, ref.Rates = res.Model, res.Rates
+		if *verbose {
+			fmt.Fprintf(stdout, "fit: logL %.3f -> %.3f (alpha %.3f, %d evaluations)\n",
+				res.StartLL, res.LogLik, res.Alpha, res.Evaluations)
+		}
+	}
+
+	if *saveDB != "" {
+		f, err := os.Create(*saveDB)
+		if err != nil {
+			return err
+		}
+		if err := refdb.Save(f, tr, msa, ref.Spec, ref.Freqs); err != nil {
 			f.Close()
-			if err != nil {
-				return err
-			}
-		}
-		msa, err = seq.NewMSA(alphabet, refSeqs)
-		if err != nil {
 			return err
 		}
-
-		// Model.
-		spec = *modelSpec
-		if spec == "" {
-			if *dataType == "AA" {
-				spec = "SYNAA+G4"
-			} else {
-				spec = "GTR+G4"
-			}
-		}
-		var freqs []float64
-		if *empFreqs {
-			freqs, err = mlfit.EmpiricalFreqs(msa)
-			if err != nil {
-				return err
-			}
-		}
-		m, rates, err = model.ParseSpec(spec, freqs)
-		if err != nil {
+		if err := f.Close(); err != nil {
 			return err
 		}
-
-		// Optional ML fitting of branch lengths / model parameters.
-		if *fit {
-			opts := mlfit.Options{BranchLengths: true, Alpha: rates.NumRates() > 1, Exchangeabilities: *dataType == "NT"}
-			res, err := mlfit.Fit(tr, msa, nil, 1.0, rates.NumRates(), opts)
-			if err != nil {
-				return fmt.Errorf("model fitting: %w", err)
-			}
-			m, rates = res.Model, res.Rates
-			if *verbose {
-				fmt.Fprintf(stdout, "fit: logL %.3f -> %.3f (alpha %.3f, %d evaluations)\n",
-					res.StartLL, res.LogLik, res.Alpha, res.Evaluations)
-			}
-		}
-
-		if *saveDB != "" {
-			f, err := os.Create(*saveDB)
-			if err != nil {
-				return err
-			}
-			if err := refdb.Save(f, tr, msa, spec, freqs); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "saved reference database -> %s\n", *saveDB)
-		}
+		fmt.Fprintf(stdout, "saved reference database -> %s\n", *saveDB)
 	}
 
 	comp, err := seq.Compress(msa)
 	if err != nil {
 		return err
 	}
-	part, err := phylo.NewPartition(m, rates, comp, tr)
+	part, err := phylo.NewPartition(ref.Model, ref.Rates, comp, tr)
 	if err != nil {
 		return err
 	}
 
-	cfg := placement.DefaultConfig()
-	cfg.ChunkSize = *chunkSize
-	cfg.BlockSize = *blockSize
-	cfg.Threads = *threads
-	cfg.DisableLookup = *noHeur
-	cfg.TileQueries = *tileQ
-	cfg.TileBranches = *tileB
-	cfg.FastMath = *fastMath
-	cfg.NoDedup = !*dedup
-	cfg.SyncPrecompute = *syncPre
-	cfg.NoPipeline = *noPipe
-	cfg.Strict = *strict
-	mode, err := placement.ParseScoringMode(*scoring)
-	if err != nil {
-		return err
-	}
-	cfg.Scoring = mode
-	cfg.EDPL = *edpl
-	cfg.BayesPendantNodes = *bayesPN
-	cfg.BayesProximalNodes = *bayesXN
-	if *syncPre {
-		cfg.SiteWorkers = *threads
-	}
-	if *maxmem != "" {
-		limit, err := memacct.ParseBytes(*maxmem)
-		if err != nil {
-			return err
-		}
-		cfg.MaxMem = limit
-	}
-	if s := core.StrategyByName(*strategy); s != nil {
-		cfg.Strategy = s
-	} else {
-		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
-	if *clvSpill || *spillPol != "" {
-		name := *spillPol
-		if name == "" {
-			name = "hybrid"
-		}
-		p := core.SpillPolicyByName(name)
-		if p == nil {
-			return fmt.Errorf("unknown spill policy %q (want discard, spill, or hybrid)", name)
-		}
-		cfg.SpillPolicy = p
-		cfg.SpillPath = *spillPath
-	}
 	if *statsJSON != "" {
 		cfg.Telemetry = telemetry.NewSink()
 	}
@@ -340,7 +213,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *verbose {
 		plan := eng.Plan()
 		fmt.Fprintf(stdout, "model: %s; mode: AMC=%v lookup=%v slots=%d block=%d planned=%s\n",
-			spec, plan.AMC, plan.LookupEnabled, plan.Slots, plan.BlockSize, memacct.FormatBytes(plan.TotalBytes))
+			ref.Spec, plan.AMC, plan.LookupEnabled, plan.Slots, plan.BlockSize, memacct.FormatBytes(plan.TotalBytes))
 	}
 
 	// Queries: streamed from disk chunk by chunk, or taken from the split.
@@ -392,7 +265,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			Queries:    outQueries,
 			Invocation: "epang " + strings.Join(args, " "),
 		}
-		if mode == placement.ScoringBayes {
+		if cfg.Scoring == placement.ScoringBayes {
 			doc.Fields = jplace.FieldsBayes
 		}
 		if err := jplace.Write(out, doc); err != nil {

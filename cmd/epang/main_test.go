@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -368,5 +369,66 @@ func TestRunStatsJSONAndTrace(t *testing.T) {
 	}
 	if places != rep.RunStats.ChunksProcessed {
 		t.Fatalf("trace has %d chunk_place events, stats say %d chunks", places, rep.RunStats.ChunksProcessed)
+	}
+}
+
+// TestRunDBRejectsReferenceFlags: a refdb file carries its own tree,
+// alignment and model, so each flag that --db would make moot is a usage
+// error (exit 1) rather than silently ignored — with --split the run used
+// to place zero queries and exit 0.
+func TestRunDBRejectsReferenceFlags(t *testing.T) {
+	dir, _ := writeDataset(t)
+	db := filepath.Join(dir, "ref.db")
+	var buf bytes.Buffer
+	if err := run(context.Background(), []string{
+		"--tree", filepath.Join(dir, "tree.nwk"),
+		"--ref-msa", filepath.Join(dir, "ref.fasta"),
+		"--query", filepath.Join(dir, "query.fasta"),
+		"--save-db", db,
+		"--out", filepath.Join(dir, "direct.jplace"),
+	}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "conflict.jplace")
+	for _, extra := range [][]string{
+		{"--split", filepath.Join(dir, "combined.fasta")},
+		{"--fit"},
+		{"--model", "GTR+G4"},
+		{"--type", "NT"},
+		{"--tree", filepath.Join(dir, "tree.nwk")},
+		{"--ref-msa", filepath.Join(dir, "ref.fasta")},
+		{"--emp-freqs=false"},
+	} {
+		args := append([]string{"--db", db, "--query", filepath.Join(dir, "query.fasta"), "--out", out}, extra...)
+		err := run(context.Background(), args, &buf)
+		name, _, _ := strings.Cut(extra[0], "=")
+		if err == nil || !strings.Contains(err.Error(), "--db cannot be combined with "+name) {
+			t.Errorf("--db with %v: error %v, want a --db conflict naming %s", extra, err, name)
+			continue
+		}
+		if c := exitCode(err); c != 1 {
+			t.Errorf("--db with %v: exit code %d, want 1", extra, c)
+		}
+		if _, serr := os.Stat(out); serr == nil {
+			t.Fatalf("--db with %v wrote %s", extra, out)
+		}
+	}
+}
+
+// TestRunEngineFlagErrors: an unknown engine-flag value fails with the
+// shared binder's error text.
+func TestRunEngineFlagErrors(t *testing.T) {
+	for _, kv := range [][2]string{{"scoring", "bogus"}, {"memsave-strategy", "bogus"}, {"clv-spill-policy", "bogus"}} {
+		fs := flag.NewFlagSet("want", flag.ContinueOnError)
+		f := placement.BindFlags(fs, kv[0])
+		if err := fs.Parse([]string{"--" + kv[0], kv[1]}); err != nil {
+			t.Fatal(err)
+		}
+		_, want := f.Config()
+		var buf bytes.Buffer
+		err := run(context.Background(), []string{"--" + kv[0], kv[1]}, &buf)
+		if want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("--%s %s: error %v, want %v", kv[0], kv[1], err, want)
+		}
 	}
 }

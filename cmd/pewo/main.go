@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"phylomem/internal/experiments"
+	"phylomem/internal/placement"
 	"phylomem/internal/prof"
 	"phylomem/internal/telemetry"
 )
@@ -31,6 +32,10 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("pewo", flag.ContinueOnError)
+	// Threads and memory are swept per experiment, so pewo offers neither
+	// --threads nor --maxmem from the engine flags.
+	engFlags := placement.BindFlags(fs, "no-pipeline", "dedup", "tile-queries", "tile-branches",
+		"scoring", "edpl", "clv-spill", "clv-spill-path", "clv-spill-policy")
 	var (
 		scale     = fs.Int("scale", 16, "divide the paper's dataset dimensions by this factor (1 = full size; needs tens of GiB)")
 		reps      = fs.Int("reps", 5, "repetitions per configuration (the paper uses 5)")
@@ -38,16 +43,6 @@ func run(args []string) error {
 		threads   = fs.String("threads", "1,2,4,8,16,32", "thread sweep for fig6/fig7")
 		datasets  = fs.String("datasets", "", "comma-separated dataset subset (default all)")
 		maxq      = fs.Int("max-queries", 0, "truncate query sets (0 = all)")
-		noPipe    = fs.Bool("no-pipeline", false, "disable overlapped chunk reading in the measured engines")
-		dedup     = fs.Bool("dedup", true, "in-flight query deduplication in the measured engines")
-		tileQ     = fs.Int("tile-queries", 0, "phase-1 query-tile size in the measured engines (0 = automatic)")
-		tileB     = fs.Int("tile-branches", 0, "phase-1 branch-tile size in the measured engines (0 = automatic)")
-		fastMath  = fs.Bool("fast-math", false, "reordered fast-math accumulation in the measured engines")
-		scoring   = fs.String("scoring", "", "scoring mode in the measured engines: ml or bayes (default ml)")
-		edpl      = fs.Bool("edpl", false, "compute per-query EDPL in the measured engines")
-		clvSpill  = fs.Bool("clv-spill", false, "spill evicted CLVs to a disk tier in the measured AMC engines")
-		spillPath = fs.String("clv-spill-path", "", "spill store file for the measured engines (empty = temporary)")
-		spillPol  = fs.String("clv-spill-policy", "", "spill policy: discard, spill, or hybrid (implies --clv-spill; default hybrid)")
 		csv       = fs.Bool("csv", false, "emit CSV instead of an aligned table")
 		statsJSON = fs.String("stats-json", "", "write every measured run as a structured JSON document to this file")
 		plot      = fs.Bool("plot", false, "also render figure experiments as terminal plots")
@@ -81,29 +76,8 @@ func run(args []string) error {
 	o.Reps = *reps
 	o.Seed = *seed
 	o.MaxQueries = *maxq
-	o.NoPipeline = *noPipe
-	o.NoDedup = !*dedup
-	o.TileQueries = *tileQ
-	o.TileBranches = *tileB
-	o.FastMath = *fastMath
-	if *scoring != "" {
-		if !experiments.ValidScoring(*scoring) {
-			return fmt.Errorf("unknown scoring mode %q (want ml or bayes)", *scoring)
-		}
-		o.Scoring = *scoring
-	}
-	o.EDPL = *edpl
-	if *clvSpill || *spillPol != "" {
-		name := *spillPol
-		if name == "" {
-			name = "hybrid"
-		}
-		if experiments.ValidSpillPolicy(name) {
-			o.SpillPolicy = name
-			o.SpillPath = *spillPath
-		} else {
-			return fmt.Errorf("unknown spill policy %q (want discard, spill, or hybrid)", name)
-		}
+	if o.Engine, err = engFlags.Config(); err != nil {
+		return err
 	}
 	if *datasets != "" {
 		o.Datasets = strings.Split(*datasets, ",")

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"flag"
+	"testing"
+
+	"phylomem/internal/placement"
+)
 
 func TestRunList(t *testing.T) {
 	if err := run([]string{"--list"}); err != nil {
@@ -32,5 +37,22 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"--datasets", "nope", "table2"}); err == nil {
 		t.Error("bogus dataset accepted")
+	}
+}
+
+// TestRunEngineFlagErrors: an unknown engine-flag value fails with the
+// shared binder's error text, before any dataset is synthesized.
+func TestRunEngineFlagErrors(t *testing.T) {
+	for _, kv := range [][2]string{{"scoring", "bogus"}, {"clv-spill-policy", "bogus"}} {
+		fs := flag.NewFlagSet("want", flag.ContinueOnError)
+		f := placement.BindFlags(fs, kv[0])
+		if err := fs.Parse([]string{"--" + kv[0], kv[1]}); err != nil {
+			t.Fatal(err)
+		}
+		_, want := f.Config()
+		err := run([]string{"--" + kv[0], kv[1], "table1"})
+		if want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("--%s %s: error %v, want %v", kv[0], kv[1], err, want)
+		}
 	}
 }

@@ -43,19 +43,14 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"phylomem/internal/core"
 	"phylomem/internal/memacct"
-	"phylomem/internal/mlfit"
-	"phylomem/internal/model"
 	"phylomem/internal/placement"
 	"phylomem/internal/refdb"
-	"phylomem/internal/seq"
 	"phylomem/internal/telemetry"
-	"phylomem/internal/tree"
 )
 
 func main() {
@@ -82,106 +77,18 @@ func exitCode(err error) int {
 	return 1
 }
 
-// reference is everything placed needs from one reference data set.
-type reference struct {
-	tr       *tree.Tree
-	msa      *seq.MSA
-	alphabet *seq.Alphabet
-	m        *model.Model
-	rates    *model.RateHet
-	spec     string
-}
-
-// loadReference resolves --db or --tree/--ref-msa/--model into a reference,
-// the same resolution epang performs before a run.
-func loadReference(dbFile, treeFile, refFile, modelSpec, dataType string, empFreqs bool) (*reference, error) {
-	if dbFile != "" {
-		f, err := os.Open(dbFile)
-		if err != nil {
-			return nil, err
-		}
-		ref, err := refdb.Load(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		return &reference{tr: ref.Tree, msa: ref.MSA, alphabet: ref.Alphabet, m: ref.Model, rates: ref.Rates, spec: ref.Spec}, nil
-	}
-	tdata, err := os.ReadFile(treeFile)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := tree.ParseNewick(strings.TrimSpace(string(tdata)))
-	if err != nil {
-		return nil, err
-	}
-	alphabet := seq.DNA
-	if dataType == "AA" {
-		alphabet = seq.AA
-	} else if dataType != "NT" {
-		return nil, fmt.Errorf("unknown type %q (want NT or AA)", dataType)
-	}
-	f, err := os.Open(refFile)
-	if err != nil {
-		return nil, err
-	}
-	refSeqs, err := seq.ReadFasta(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	msa, err := seq.NewMSA(alphabet, refSeqs)
-	if err != nil {
-		return nil, err
-	}
-	spec := modelSpec
-	if spec == "" {
-		if dataType == "AA" {
-			spec = "SYNAA+G4"
-		} else {
-			spec = "GTR+G4"
-		}
-	}
-	var freqs []float64
-	if empFreqs {
-		freqs, err = mlfit.EmpiricalFreqs(msa)
-		if err != nil {
-			return nil, err
-		}
-	}
-	m, rates, err := model.ParseSpec(spec, freqs)
-	if err != nil {
-		return nil, err
-	}
-	return &reference{tr: tr, msa: msa, alphabet: alphabet, m: m, rates: rates, spec: spec}, nil
-}
-
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("placed", flag.ContinueOnError)
+	refFlags := refdb.BindFlags(fs)
+	// The server has no per-request field selection, so it offers no --edpl:
+	// posterior mode always serves the full uncertainty picture.
+	engFlags := placement.BindFlags(fs, "maxmem", "chunk-size", "block-size", "threads", "no-heur",
+		"tile-queries", "tile-branches", "dedup", "scoring", "memsave-strategy",
+		"clv-spill", "clv-spill-path", "clv-spill-policy")
 	var (
 		listen      = fs.String("listen", ":8433", "HTTP listen address")
 		catalogFlag = fs.String("catalog", "", "tree catalog file (JSON); serves every listed tree, engines built on first request")
 		fleetMaxmem = fs.String("fleet-maxmem", "", "global memory ceiling across all engines, e.g. 8G (empty = unlimited)")
-		treeFile    = fs.String("tree", "", "reference tree (Newick); single-tree alternative to --catalog")
-		dbFile      = fs.String("db", "", "load the reference (tree+alignment+model) from a refdb file instead of --tree/--ref-msa/--model")
-		refFile     = fs.String("ref-msa", "", "reference alignment (FASTA)")
-		modelSpec   = fs.String("model", "", "substitution model spec, e.g. GTR+G4{0.5} (default: GTR+G4 for NT, SYNAA+G4 for AA)")
-		empFreqs    = fs.Bool("emp-freqs", true, "use empirical stationary frequencies from the reference alignment")
-		dataType    = fs.String("type", "NT", "data type: NT or AA")
-		maxmem      = fs.String("maxmem", "", "per-engine memory ceiling, e.g. 4G or 512M (empty = unlimited); catalog entries may override")
-		chunkSize   = fs.Int("chunk-size", 5000, "queries per engine chunk")
-		blockSize   = fs.Int("block-size", memacct.DefaultBlockSize, "branches per precompute block")
-		threads     = fs.Int("threads", 1, "placement worker threads per engine")
-		noHeur      = fs.Bool("no-heur", false, "disable the pre-placement lookup table heuristic")
-		tileQ       = fs.Int("tile-queries", 0, "phase-1 query-tile size (0 = automatic)")
-		tileB       = fs.Int("tile-branches", 0, "phase-1 branch-tile size (0 = automatic, matches the precompute block size)")
-		fastMath    = fs.Bool("fast-math", false, "reordered fast-math accumulation (faster, deterministic, but not bit-identical to the default kernels)")
-		strategy    = fs.String("memsave-strategy", "costage", "CLV replacement strategy: cost, costage, lru, fifo, random")
-		clvSpill    = fs.Bool("clv-spill", false, "spill evicted CLVs to a disk tier and reload them instead of recomputing (AMC only; output is byte-identical)")
-		spillPath   = fs.String("clv-spill-path", "", "spill store file (empty = temporary file, removed on shutdown; multi-tree catalogs append the tree id)")
-		spillPol    = fs.String("clv-spill-policy", "", "per-victim spill decision: discard, spill, or hybrid (implies --clv-spill; default hybrid)")
-		dedup       = fs.Bool("dedup", true, "group each batch's queries by sequence content and place one representative per distinct sequence")
-		scoring     = fs.String("scoring", "ml", "scoring mode for every engine: ml (optimized likelihoods) or bayes (posterior probabilities + per-query edpl)")
 		cacheSize   = fs.String("result-cache", "64M", "per-tenant cross-request result cache size, e.g. 64M (0 disables); cache bytes count against the budgets and are evicted first under pressure")
 		maxInflight = fs.String("max-inflight", "", "per-tenant admission cap on in-flight query bytes, e.g. 64K (empty = derive from the tenant's --maxmem plan)")
 		maxBatch    = fs.Int("max-batch", 256, "flush a micro-batch once this many queries are pending")
@@ -194,49 +101,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	cfg := placement.DefaultConfig()
-	cfg.ChunkSize = *chunkSize
-	cfg.BlockSize = *blockSize
-	cfg.Threads = *threads
-	cfg.DisableLookup = *noHeur
-	cfg.TileQueries = *tileQ
-	cfg.TileBranches = *tileB
-	cfg.FastMath = *fastMath
-	cfg.NoDedup = !*dedup
-	mode, err := placement.ParseScoringMode(*scoring)
+	cfg, err := engFlags.Config()
 	if err != nil {
 		return err
 	}
-	cfg.Scoring = mode
-	// The server has no per-request field selection, so posterior mode
-	// always serves the full uncertainty picture: edpl rides along.
-	cfg.EDPL = mode == placement.ScoringBayes
-	if s := core.StrategyByName(*strategy); s != nil {
-		cfg.Strategy = s
-	} else {
-		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
-	if *clvSpill || *spillPol != "" {
-		name := *spillPol
-		if name == "" {
-			name = "hybrid"
-		}
-		p := core.SpillPolicyByName(name)
-		if p == nil {
-			return fmt.Errorf("unknown spill policy %q (want discard, spill, or hybrid)", name)
-		}
-		cfg.SpillPolicy = p
-		cfg.SpillPath = *spillPath
-	}
-
-	var defaultMaxMem int64
-	if *maxmem != "" {
-		limit, err := memacct.ParseBytes(*maxmem)
-		if err != nil {
-			return err
-		}
-		defaultMaxMem = limit
-	}
+	cfg.EDPL = cfg.Scoring == placement.ScoringBayes
+	// --maxmem is the per-engine default; catalog entries may override it.
+	defaultMaxMem := cfg.MaxMem
 	var fleetLimit int64
 	if *fleetMaxmem != "" {
 		limit, err := memacct.ParseBytes(*fleetMaxmem)
@@ -257,10 +128,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	// Resolve the catalog: a file, or a single in-memory entry from the
-	// legacy single-tree flags.
+	// single-tree reference flags.
+	src, err := refFlags.Source()
+	if err != nil {
+		return err
+	}
 	var cat *catalog
 	if *catalogFlag != "" {
-		if *treeFile != "" || *dbFile != "" {
+		if src.Tree != "" || src.DB != "" {
 			return fmt.Errorf("--catalog and --tree/--db are mutually exclusive")
 		}
 		cat, err = loadCatalogFile(*catalogFlag, defaultMaxMem)
@@ -268,19 +143,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 	} else {
-		if *dbFile == "" && *treeFile == "" {
+		if src.DB == "" && src.Tree == "" {
 			return fmt.Errorf("--tree, --db, or --catalog is required")
 		}
-		if *dbFile == "" && *refFile == "" {
-			return fmt.Errorf("either --db or --ref-msa is required")
+		if err := src.Validate(); err != nil {
+			return err
 		}
-		db, tf, rf, ms, dt, ef := *dbFile, *treeFile, *refFile, *modelSpec, *dataType, *empFreqs
 		cat = &catalog{}
-		if err := cat.add(&catalogEntry{
-			id:     "default",
-			maxMem: defaultMaxMem,
-			load:   func() (*reference, error) { return loadReference(db, tf, rf, ms, dt, ef) },
-		}); err != nil {
+		if err := cat.add(&catalogEntry{id: "default", maxMem: defaultMaxMem, load: src.Load}); err != nil {
 			return err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 	"phylomem/internal/jplace"
 	"phylomem/internal/model"
 	"phylomem/internal/placement"
+	"phylomem/internal/refdb"
 	"phylomem/internal/seq"
 	"phylomem/internal/telemetry"
 	"phylomem/internal/tree"
@@ -25,7 +27,7 @@ import (
 // testReference builds an in-memory reference over a random n-leaf tree with
 // the same lightweight JC69+G2 model the placement tests use. The returned
 // leaf sequences seed derived queries.
-func testReference(t *testing.T, seed int64, n, width int) (*reference, []seq.Sequence) {
+func testReference(t *testing.T, seed int64, n, width int) (*refdb.Reference, []seq.Sequence) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	tr, err := tree.Random(n, 0.15, rng)
@@ -48,7 +50,7 @@ func testReference(t *testing.T, seed int64, n, width int) (*reference, []seq.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := &reference{tr: tr, msa: msa, alphabet: seq.DNA, m: model.JC69(), rates: rates, spec: "JC69+G2"}
+	ref := &refdb.Reference{Tree: tr, MSA: msa, Alphabet: seq.DNA, Model: model.JC69(), Rates: rates, Spec: "JC69+G2"}
 	return ref, seqs
 }
 
@@ -100,7 +102,7 @@ func newTestFixtureCfg(t *testing.T, fo fixtureOptions, cfgEdit func(*placement.
 	cat := &catalog{}
 	if err := cat.add(&catalogEntry{
 		id:   "default",
-		load: func() (*reference, error) { return ref, nil },
+		load: func() (*refdb.Reference, error) { return ref, nil },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func newTestFixtureCfg(t *testing.T, fo fixtureOptions, cfgEdit func(*placement.
 	}
 	f.release(ten)
 
-	fx := &testFixture{t: t, tr: ref.tr, f: f, srv: srv, ts: ts,
+	fx := &testFixture{t: t, tr: ref.Tree, f: f, srv: srv, ts: ts,
 		tenant: ten, eng: ten.eng, tel: ten.tel, width: width, leafSeqs: seqs}
 	t.Cleanup(fx.close)
 	return fx
@@ -573,5 +575,29 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 	if err := run(ctx, []string{"--catalog", "no-such-catalog.json"}, &out); err == nil {
 		t.Error("missing catalog file: want error")
+	}
+}
+
+// TestRunReferenceAndEngineFlagErrors: --db beside another reference flag
+// is a usage error, and an unknown engine-flag value fails with the shared
+// binder's error text — both before any file is read.
+func TestRunReferenceAndEngineFlagErrors(t *testing.T) {
+	ctx := context.Background()
+	var out strings.Builder
+	err := run(ctx, []string{"--db", "ref.db", "--tree", "x.nwk"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "--db cannot be combined with --tree") {
+		t.Errorf("--db with --tree: error %v, want a --db conflict", err)
+	}
+	for _, kv := range [][2]string{{"scoring", "bogus"}, {"memsave-strategy", "bogus"}, {"clv-spill-policy", "bogus"}} {
+		fs := flag.NewFlagSet("want", flag.ContinueOnError)
+		f := placement.BindFlags(fs, kv[0])
+		if err := fs.Parse([]string{"--" + kv[0], kv[1]}); err != nil {
+			t.Fatal(err)
+		}
+		_, want := f.Config()
+		err := run(ctx, []string{"--" + kv[0], kv[1]}, &out)
+		if want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("--%s %s: error %v, want %v", kv[0], kv[1], err, want)
+		}
 	}
 }

@@ -226,18 +226,6 @@ func (m *Manager) Bytes() int64 { return int64(m.slots) * m.part.CLVBytes() }
 // Stats returns a copy of the activity counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// ResetStats zeroes the activity counters. It also detaches the telemetry
-// mirror: telemetry counters are cumulative for the whole run and cannot be
-// rewound, so after a reset the two would permanently disagree and fail the
-// CheckTelemetry audit.
-func (m *Manager) ResetStats() {
-	m.stats = Stats{}
-	m.tel = nil
-	m.stel = nil
-	m.recomputeNS = 0
-	m.reloadNS = 0
-}
-
 // Strategy returns the replacement strategy in use.
 func (m *Manager) Strategy() Strategy { return m.strategy }
 

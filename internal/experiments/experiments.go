@@ -36,63 +36,10 @@ type Options struct {
 	// MaxQueries truncates each dataset's query set (0 = all). Used by fast
 	// test configurations; full experiment runs leave it at 0.
 	MaxQueries int
-	// NoPipeline disables the placement engines' overlapped chunk reader,
-	// so every run uses the synchronous read-place-emit loop.
-	NoPipeline bool
-	// NoDedup disables in-flight query deduplication in every experiment
-	// engine (see placement.Config.NoDedup).
-	NoDedup bool
-	// TileQueries/TileBranches override the phase-1 tile dimensions in every
-	// experiment engine (0 = automatic; see placement.Config).
-	TileQueries  int
-	TileBranches int
-	// FastMath opts every experiment engine into the reordered fast-math
-	// accumulation (see placement.Config.FastMath).
-	FastMath bool
-	// SpillPolicy enables the tiered CLV eviction path in every experiment
-	// engine that runs under AMC: "discard", "spill", or "hybrid" (empty =
-	// tier off; see placement.Config.SpillPolicy). SpillPath optionally backs
-	// the store at an explicit location.
-	SpillPolicy string
-	SpillPath   string
-	// Scoring selects the phase-2 scoring mode in every experiment engine:
-	// "ml" or "bayes" (empty = ml; see placement.Config.Scoring). EDPL adds
-	// per-query expected-distance-between-placement-locations computation.
-	Scoring string
-	EDPL    bool
-}
-
-// engineConfig returns the placement configuration every experiment starts
-// from, with the option-level engine switches applied.
-func (o Options) engineConfig() placement.Config {
-	cfg := placement.DefaultConfig()
-	cfg.NoPipeline = o.NoPipeline
-	cfg.NoDedup = o.NoDedup
-	cfg.TileQueries = o.TileQueries
-	cfg.TileBranches = o.TileBranches
-	cfg.FastMath = o.FastMath
-	if o.SpillPolicy != "" {
-		cfg.SpillPolicy = core.SpillPolicyByName(o.SpillPolicy)
-		cfg.SpillPath = o.SpillPath
-	}
-	if o.Scoring != "" {
-		cfg.Scoring = placement.ScoringMode(o.Scoring)
-	}
-	cfg.EDPL = o.EDPL
-	return cfg
-}
-
-// ValidScoring reports whether name selects a known scoring mode, so CLIs
-// can reject typos before synthesizing datasets.
-func ValidScoring(name string) bool {
-	_, err := placement.ParseScoringMode(name)
-	return err == nil
-}
-
-// ValidSpillPolicy reports whether name selects a known spill policy, so
-// CLIs can reject typos before synthesizing datasets.
-func ValidSpillPolicy(name string) bool {
-	return core.SpillPolicyByName(name) != nil
+	// Engine is the placement configuration every experiment engine starts
+	// from; each experiment then sets the memory, chunk and thread values it
+	// sweeps.
+	Engine placement.Config
 }
 
 // DefaultOptions returns an Options with the paper's protocol scaled by the
@@ -118,6 +65,7 @@ func DefaultOptions(scale int) Options {
 		ChunkLarge: chunkL,
 		ChunkSmall: chunkS,
 		Datasets:   workload.Names(),
+		Engine:     placement.DefaultConfig(),
 	}
 }
 
@@ -179,7 +127,7 @@ func memorySweep(o Options, chunk int, title string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := o.engineConfig()
+		base := o.Engine
 		base.ChunkSize = chunk
 		ref, err := RunEPA(p, base, "reference", o.Reps)
 		if err != nil {
@@ -267,7 +215,7 @@ func Table2(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := o.engineConfig()
+		base := o.Engine
 		base.ChunkSize = o.ChunkLarge
 
 		refM, err := RunEPA(p, base, "O", o.Reps)
@@ -318,7 +266,7 @@ func Fig5(o Options) (*Table, error) {
 			return nil, err
 		}
 		// EPA-NG, chunk 500 (scaled) as in the paper's Fig. 5 protocol.
-		cfg := o.engineConfig()
+		cfg := o.Engine
 		cfg.ChunkSize = o.ChunkSmall
 		off, err := RunEPA(p, cfg, "epa-off", o.Reps)
 		if err != nil {
@@ -384,7 +332,7 @@ func parallelEfficiency(o Options, title string, experimental bool, datasets []s
 		if err != nil {
 			return nil, err
 		}
-		base := o.engineConfig()
+		base := o.Engine
 		base.ChunkSize = o.ChunkLarge
 		for _, mode := range peModes(p, base) {
 			// Serial baseline: one worker, no async precompute thread.
@@ -457,7 +405,7 @@ func LookupSpeedup(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := o.engineConfig()
+		base := o.Engine
 		base.ChunkSize = o.ChunkSmall
 		for _, mode := range []struct {
 			name   string
@@ -507,7 +455,7 @@ func AblationStrategies(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := o.engineConfig()
+		base := o.Engine
 		base.ChunkSize = o.ChunkSmall
 		base.DisableLookup = true // maximize CLV traffic so strategies matter
 		min := p.MinFeasibleBytes(base)
@@ -543,7 +491,7 @@ func AblationBlockSize(o Options) (*Table, error) {
 			return nil, err
 		}
 		for _, block := range []int{2, 8, 32, 128} {
-			cfg := o.engineConfig()
+			cfg := o.Engine
 			cfg.ChunkSize = o.ChunkSmall
 			cfg.BlockSize = block
 			cfg.DisableLookup = true
@@ -581,7 +529,7 @@ func AccuracyTable(o Options) (*Table, error) {
 		}
 		origins := p.Dataset.QueryOrigins[:len(p.Queries)]
 
-		epaM, err := RunEPA(p, o.engineConfig(), "accuracy-epa", 1)
+		epaM, err := RunEPA(p, o.Engine, "accuracy-epa", 1)
 		if err != nil {
 			return nil, err
 		}
@@ -633,14 +581,14 @@ func BayesAgreement(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mlCfg := o.engineConfig()
+		mlCfg := o.Engine
 		mlCfg.Scoring = placement.ScoringML
 		mlCfg.EDPL = false
 		mlM, err := RunEPA(p, mlCfg, "diff-ml", 1)
 		if err != nil {
 			return nil, err
 		}
-		bCfg := o.engineConfig()
+		bCfg := o.Engine
 		bCfg.Scoring = placement.ScoringBayes
 		bCfg.EDPL = true
 		bM, err := RunEPA(p, bCfg, "diff-bayes", 1)

@@ -49,12 +49,9 @@ type Scratch struct {
 	piP []float64
 
 	// Blocked-kernel buffers (see queryblock.go): the site-major query code
-	// block, the per-query output accumulator, and the fast-math running
-	// product / scale-penalty accumulators.
+	// block and the per-query output accumulator.
 	blkCodes []uint32
 	blkOut   []float64
-	blkProd  []float64
-	blkPen   []float64
 
 	// Phase-2 branch-length tables (see sumtable.go), created on first use.
 	sum *Sumtable

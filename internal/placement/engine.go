@@ -106,13 +106,6 @@ type Config struct {
 	// BlockSize, keeping the lookup-path tiles coherent with the AMC
 	// precompute blocks).
 	TileBranches int
-	// FastMath opts into reordered block accumulation in the phase-1 kernels:
-	// per-site likelihoods are multiplied into a running product that is
-	// log-flushed near the float64 range limits, replacing one log per site
-	// with one log per flush. Output is still deterministic and independent
-	// of tile sizes and thread count, but its FP rounding differs from the
-	// default bit-identical per-cell order. Off by default.
-	FastMath bool
 	// NoDedup disables in-flight query deduplication. By default every
 	// chunk's queries are grouped by encoded sequence content, one
 	// representative per distinct sequence is placed, and the scored result
@@ -162,12 +155,14 @@ func DefaultConfig() Config {
 		BlockSize:          memacct.DefaultBlockSize,
 		Threads:            1,
 		SiteWorkers:        1,
+		Strategy:           core.CostAge{},
 		KeepFraction:       0.01,
 		PrescoreThreshold:  0.99999,
 		Thorough:           true,
 		SkipGaps:           true,
 		FilterAccThreshold: 0.99999,
 		FilterMax:          7,
+		Scoring:            ScoringML,
 	}
 }
 
@@ -521,7 +516,7 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 	e.p2tel = e.tel.Phase2Group()
 	e.trace = cfg.Trace
 	e.tileQ, e.tileB = chooseTiles(cfg, part, plan)
-	e.ktel.Configure(e.tileQ, e.tileB, cfg.FastMath)
+	e.ktel.Configure(e.tileQ, e.tileB)
 	if e.tel != nil {
 		e.tel.Pool.Init(e.pool.Size())
 		e.pool.SetTelemetry(e.tel.PoolGroup())

@@ -27,9 +27,8 @@ const (
 // block).
 func chooseTiles(cfg Config, part *phylo.Partition, plan memacct.Plan) (tileQ, tileB int) {
 	width := part.Comp.OriginalWidth()
-	// Codes (4 bytes/site) plus three float64 accumulators (out, and the
-	// fast-math product/penalty pair) per query.
-	perQuery := width*4 + 3*8
+	// Codes (4 bytes/site) plus one float64 accumulator per query.
+	perQuery := width*4 + 8
 	tileQ = tileCacheBytes / 2 / perQuery
 	if tileQ < tileQueriesMin {
 		tileQ = tileQueriesMin

@@ -119,24 +119,13 @@ func (d DedupSnapshot) DedupRatio() float64 {
 	return float64(d.QueriesSeen) / float64(d.QueriesDistinct)
 }
 
-// CacheHitRate returns CacheHits / (CacheHits + CacheMisses), or 0 with no
-// lookups.
-func (d DedupSnapshot) CacheHitRate() float64 {
-	total := d.CacheHits + d.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(d.CacheHits) / float64(total)
-}
-
 // KernelSnapshot is the tiled placement-kernel section of a Snapshot: the
-// resolved tile dimensions, whether fast-math reordering was on, and the
-// tile/call/resident-bytes activity of phase 1. All-zero when the engine
-// placed no queries (the key set is schema-stable regardless).
+// resolved tile dimensions and the tile/call/resident-bytes activity of
+// phase 1. All-zero when the engine placed no queries (the key set is
+// schema-stable regardless).
 type KernelSnapshot struct {
 	TileQueries        int64  `json:"tile_queries"`
 	TileBranches       int64  `json:"tile_branches"`
-	FastMath           int64  `json:"fast_math"`
 	TilesExecuted      uint64 `json:"tiles_executed"`
 	BlockKernelCalls   uint64 `json:"block_kernel_calls"`
 	BlockResidentBytes int64  `json:"block_resident_bytes"`
@@ -290,7 +279,6 @@ func (s *Sink) Snapshot() Snapshot {
 	out.Kernel = KernelSnapshot{
 		TileQueries:        k.TileQueries.Load(),
 		TileBranches:       k.TileBranches.Load(),
-		FastMath:           k.FastMath.Load(),
 		TilesExecuted:      k.TilesExecuted.Load(),
 		BlockKernelCalls:   k.BlockKernelCalls.Load(),
 		BlockResidentBytes: k.BlockResidentBytes.Load(),

@@ -32,7 +32,7 @@ import (
 
 // SchemaVersion identifies the --stats-json layout. Bump on any key rename
 // or removal; additions are backward compatible.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // Counter is an atomic event counter.
 type Counter struct{ v atomic.Uint64 }
@@ -469,32 +469,26 @@ func (d *Dedup) SetCacheSize(bytes int64, entries int) {
 }
 
 // Kernel counts the tiled phase-1 placement kernels' activity: the resolved
-// tile dimensions and fast-math mode (levels, set once at engine
-// construction), the number of query-tile × branch-tile tasks executed, the
-// number of block-kernel invocations (one per branch per query tile), and the
-// high-water mark of the bytes a tile keeps cache-resident (its SoA code
-// block, accumulators, and one prescore row or branch CLV).
+// tile dimensions (levels, set once at engine construction), the number of
+// query-tile × branch-tile tasks executed, the number of block-kernel
+// invocations (one per branch per query tile), and the high-water mark of
+// the bytes a tile keeps cache-resident (its SoA code block, accumulator, and
+// one prescore row or branch CLV).
 type Kernel struct {
 	TileQueries        Gauge
 	TileBranches       Gauge
-	FastMath           Gauge // 0 = bit-identical default order, 1 = reordered
 	TilesExecuted      Counter
 	BlockKernelCalls   Counter
 	BlockResidentBytes MaxGauge
 }
 
-// Configure records the engine's resolved tile dimensions and fast-math mode.
-func (k *Kernel) Configure(tileQ, tileB int, fastMath bool) {
+// Configure records the engine's resolved tile dimensions.
+func (k *Kernel) Configure(tileQ, tileB int) {
 	if k == nil {
 		return
 	}
 	k.TileQueries.Set(int64(tileQ))
 	k.TileBranches.Set(int64(tileB))
-	if fastMath {
-		k.FastMath.Set(1)
-	} else {
-		k.FastMath.Set(0)
-	}
 }
 
 // TileDone records one executed tile: its block-kernel call count and its

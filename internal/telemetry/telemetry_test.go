@@ -232,7 +232,7 @@ func TestSnapshotSchemaStable(t *testing.T) {
 	big.PipelineGroup().ChunkPlaced(time.Millisecond)
 	// Kernel activity (tiled engine) versus an untouched kernel group must
 	// not change the key set either.
-	big.KernelGroup().Configure(32, 64, true)
+	big.KernelGroup().Configure(32, 64)
 	big.KernelGroup().TileDone(64, 1<<20)
 
 	b, c := shape(small.Snapshot()), shape(big.Snapshot())
@@ -241,12 +241,12 @@ func TestSnapshotSchemaStable(t *testing.T) {
 	}
 
 	ks := big.Snapshot().Kernel
-	if ks.TileQueries != 32 || ks.TileBranches != 64 || ks.FastMath != 1 ||
+	if ks.TileQueries != 32 || ks.TileBranches != 64 ||
 		ks.TilesExecuted != 1 || ks.BlockKernelCalls != 64 || ks.BlockResidentBytes != 1<<20 {
 		t.Fatalf("kernel snapshot mismatch: %+v", ks)
 	}
 	// Nil-receiver safety for the hot-path methods.
-	(*Kernel)(nil).Configure(1, 1, false)
+	(*Kernel)(nil).Configure(1, 1)
 	(*Kernel)(nil).TileDone(1, 1)
 }
 

@@ -27,9 +27,6 @@ type Node struct {
 // IsLeaf reports whether the node has degree 1.
 func (n *Node) IsLeaf() bool { return len(n.Edges) == 1 }
 
-// Neighbor returns the node at the other end of edge e.
-func (n *Node) Neighbor(e *Edge) *Node { return e.Other(n) }
-
 // Edge is an undirected branch with a length.
 type Edge struct {
 	ID     int
