@@ -327,16 +327,17 @@ func BenchmarkPrescoreQuery(b *testing.B) {
 	fx.part.UpdateCLV(bclv, bscale, fx.full.Operand(fx.tr.DirOf(e, na)), fx.full.Operand(fx.tr.DirOf(e, nb)), pu, pv)
 	ppend := make([]float64, fx.part.PLen())
 	fx.part.FillP(ppend, 0.05)
-	row := make([]float64, fx.part.PrescoreRowLen())
-	fx.part.BuildPrescoreRow(row, bclv, ppend)
+	row := phylo.PrescoreRow{Vals: make([]float64, fx.part.PrescoreRowLen())}
+	fx.part.NewScratch().BuildPrescoreRow(row.Vals, bclv, bscale, ppend)
 	rng := rand.New(rand.NewSource(2))
 	q := make([]uint32, fx.part.Comp.OriginalWidth())
 	for i := range q {
 		q[i] = 1 << uint(rng.Intn(4))
 	}
+	out := make([]float64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.part.PrescoreQuery(row, bscale, q, true)
+		fx.part.PrescoreQueryBlock(&row, q, 1, true, out)
 	}
 }
 

@@ -88,6 +88,10 @@ type ConfigResult struct {
 	Phase2Evals             uint64  `json:"phase2_evals"`
 	Phase2EvalsPerCandidate float64 `json:"phase2_evals_per_candidate"`
 
+	// Phase1LogCalls is the prescore row cells filled, one log each (one
+	// rep; deterministic). Gated exactly, like Phase2Evals.
+	Phase1LogCalls uint64 `json:"phase1_log_calls"`
+
 	// Posterior-scoring metrics (bayes configs; "ml"/zero elsewhere).
 	Scoring              string `json:"scoring"`
 	CandidatesIntegrated int    `json:"candidates_integrated"`
@@ -511,6 +515,7 @@ func runMatrix(scale int, seed int64, reps int, only string) (*Doc, error) {
 			res.SpillLeafWorkSaved = st.CLVStats.ReloadLeafWorkSaved
 			res.Phase2Evals = st.Optimizer.Evals
 			res.Phase2EvalsPerCandidate = st.Optimizer.EvalsPerCandidate()
+			res.Phase1LogCalls = st.Phase1LogCalls
 			res.CandidatesIntegrated = st.CandidatesIntegrated
 			res.DistinctQueries = st.QueriesDistinct
 			res.DuplicatesFolded = st.QueriesDeduped
@@ -642,9 +647,9 @@ func readDoc(path string) (*Doc, error) {
 
 // gate compares a fresh document against the committed baseline: every
 // baseline config must be present, ns/op may regress by at most the
-// tolerance fraction, planned bytes and phase-2 objective evaluations may
-// never grow, and peak bytes may never grow for byte-gated (synchronous)
-// configs.
+// tolerance fraction, planned bytes, phase-2 objective evaluations and
+// phase-1 log calls may never grow, and peak bytes may never grow for
+// byte-gated (synchronous) configs.
 func gate(base, fresh *Doc, tolerance float64) error {
 	byName := map[string]ConfigResult{}
 	for _, c := range fresh.Configs {
@@ -668,6 +673,10 @@ func gate(base, fresh *Doc, tolerance float64) error {
 		if f.Phase2Evals > b.Phase2Evals {
 			failures = append(failures, fmt.Sprintf("%s: phase-2 objective evaluations grew from %d to %d",
 				b.Name, b.Phase2Evals, f.Phase2Evals))
+		}
+		if f.Phase1LogCalls > b.Phase1LogCalls {
+			failures = append(failures, fmt.Sprintf("%s: phase-1 log calls grew from %d to %d",
+				b.Name, b.Phase1LogCalls, f.Phase1LogCalls))
 		}
 		if b.BytesGated && f.PeakBytes > b.PeakBytes {
 			failures = append(failures, fmt.Sprintf("%s: accounted peak bytes grew from %d to %d",

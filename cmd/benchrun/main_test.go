@@ -245,3 +245,18 @@ func TestGatePhase2Evals(t *testing.T) {
 		t.Fatal("one extra phase-2 evaluation passed the gate")
 	}
 }
+
+func TestGatePhase1LogCalls(t *testing.T) {
+	base := sampleDoc()
+	base.Configs[0].Phase1LogCalls = 1000
+	fewer := sampleDoc()
+	fewer.Configs[0].Phase1LogCalls = 999
+	if err := gate(base, fewer, 0.25); err != nil {
+		t.Fatalf("fewer log calls rejected: %v", err)
+	}
+	more := sampleDoc()
+	more.Configs[0].Phase1LogCalls = 1001
+	if err := gate(base, more, 0.25); err == nil {
+		t.Fatal("one extra phase-1 log call passed the gate")
+	}
+}

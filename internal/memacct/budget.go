@@ -20,9 +20,8 @@ type PlanConfig struct {
 	ChunkSize int // requested queries per chunk
 	BlockSize int // branches per precompute block (0 = default)
 
-	// Workers is the number of placement workers that score phase-2
-	// candidates concurrently, each holding its own sumtable scratch
-	// (0 counts as 1).
+	// Workers is the number of placement workers, each holding its own
+	// phase-2 sumtable scratch and phase-1 prescore row (0 counts as 1).
 	Workers int
 }
 
@@ -54,13 +53,18 @@ type Plan struct {
 
 // fixedBytes estimates the footprint that exists regardless of mode: tip
 // encodings, the tree, model tables, and engine scratch space, including
-// every worker's phase-2 sumtables.
+// every worker's phase-2 sumtables and lazy phase-1 prescore row (one
+// lookup-table row each).
 func fixedBytes(c PlanConfig) int64 {
 	tips := int64(c.NumLeaves) * int64(c.Patterns) * 4
 	treeOverhead := int64(c.NumLeaves) * 2 * 96 // nodes + edges bookkeeping
 	scratch := int64(c.States*c.States*8*8) + int64(c.Patterns)*64
-	return tips + treeOverhead + scratch + sumtableBytes(c)
+	rows := int64(max(c.Workers, 1)) * prescoreRowBytes(c)
+	return tips + treeOverhead + scratch + rows + sumtableBytes(c)
 }
+
+// prescoreRowBytes is one log-space prescore row: patterns × states float64.
+func prescoreRowBytes(c PlanConfig) int64 { return int64(c.Patterns) * int64(c.States) * 8 }
 
 // SumtableBytes returns one placement worker's phase-2 sumtable footprint
 // at full query width: per site a pattern index, S projected query values
@@ -98,10 +102,8 @@ func chunkBytes(c PlanConfig, chunk int) int64 {
 }
 
 // lookupBytes returns the pre-placement lookup table footprint: one
-// patterns×states float64 row plus per-pattern scale counters per branch.
-func lookupBytes(c PlanConfig) int64 {
-	return int64(c.Branches) * (int64(c.Patterns)*int64(c.States)*8 + int64(c.Patterns)*4)
-}
+// log-space prescore row per branch (the scale penalty is folded in).
+func lookupBytes(c PlanConfig) int64 { return int64(c.Branches) * prescoreRowBytes(c) }
 
 // PlanBudget decides the execution mode for a memory ceiling, mirroring
 // EPA-NG's --maxmem logic:

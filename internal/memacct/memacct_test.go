@@ -465,3 +465,25 @@ func TestPeakBreakdown(t *testing.T) {
 		t.Fatal("PeakBreakdown returned internal map, not a copy")
 	}
 }
+
+// TestPlanPrescoreRows: the lookup table is one patterns × states float64
+// row per branch, and every worker's lazy prescore row is fixed memory.
+func TestPlanPrescoreRows(t *testing.T) {
+	c := proRefConfig(0, 5000)
+	row := int64(c.Patterns) * int64(c.States) * 8
+	p1, err := PlanBudget(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(c.Branches) * row; p1.LookupBytes != want {
+		t.Fatalf("lookup bytes %d, want %d", p1.LookupBytes, want)
+	}
+	c.Workers = 3
+	p3, err := PlanBudget(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p3.FixedBytes-p1.FixedBytes, 2*row+p3.SumtableBytes-p1.SumtableBytes; got != want {
+		t.Fatalf("two more workers add %d fixed bytes, want %d", got, want)
+	}
+}

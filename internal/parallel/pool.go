@@ -150,9 +150,12 @@ func (p *Pool) RunContext(ctx context.Context, n, grain int, fn func(lo, hi, wor
 	if ctx.Done() != nil {
 		j.ctx = ctx
 	}
+	// The submitter takes at least one chunk: chunk 0 is claimed for it
+	// before any invite goes out.
+	j.next.Store(1)
 	invites := p.workers
 	if invites > chunks-1 {
-		invites = chunks - 1 // the submitter takes at least one chunk
+		invites = chunks - 1
 	}
 	for i := 0; i < invites; i++ {
 		select {
@@ -160,7 +163,7 @@ func (p *Pool) RunContext(ctx context.Context, n, grain int, fn func(lo, hi, wor
 		default: // every worker already has an invite queued
 		}
 	}
-	j.work(p.workers, p.busy)
+	j.work(p.workers, p.busy, 0)
 	<-j.finished
 	if pv := j.panicVal.Load(); pv != nil {
 		panic(*pv)
@@ -211,22 +214,20 @@ type job struct {
 
 func workerLoop(jobs <-chan *job, id int, busy *atomic.Int64) {
 	for j := range jobs {
-		j.work(id, busy)
+		j.work(id, busy, j.next.Add(1)-1)
 	}
 }
 
-// work claims and executes chunks until the job runs dry. Both pool workers
-// and the submitting goroutine drive jobs through it. After a panic the
-// remaining chunks are still claimed (so done reaches chunks and the
-// submitter is released) but fn is no longer called.
-func (j *job) work(worker int, busy *atomic.Int64) {
+// work executes chunk c, already claimed, then claims and executes chunks
+// until the job runs dry. Both pool workers and the submitting goroutine
+// drive jobs through it. After a panic the remaining chunks are still
+// claimed (so done reaches chunks and the submitter is released) but fn is
+// no longer called. Each chunk is counted before it is marked done, so the
+// submitter sees every chunk's telemetry once the job has finished.
+func (j *job) work(worker int, busy *atomic.Int64, c int64) {
 	var start time.Time
-	executed := uint64(0)
-	for {
-		c := j.next.Add(1) - 1
-		if c >= j.chunks {
-			break
-		}
+	w := j.tel.Worker(worker)
+	for ; c < j.chunks; c = j.next.Add(1) - 1 {
 		if start.IsZero() {
 			start = time.Now()
 		}
@@ -239,7 +240,7 @@ func (j *job) work(worker int, busy *atomic.Int64) {
 		}
 		if !j.aborted.Load() {
 			j.runChunk(c, worker)
-			executed++
+			w.Chunk()
 		}
 		if j.done.Add(1) == j.chunks {
 			close(j.finished)
@@ -250,11 +251,8 @@ func (j *job) work(worker int, busy *atomic.Int64) {
 		if busy != nil {
 			busy.Add(int64(d))
 		}
-		if w := j.tel.Worker(worker); w != nil {
-			w.Job()
-			w.Chunks.Add(executed)
-			w.AddBusy(d)
-		}
+		w.Job()
+		w.AddBusy(d)
 	}
 }
 

@@ -48,10 +48,11 @@ type Scratch struct {
 	// π-folded pendant matrices for QueryLogLikScratch.
 	piP []float64
 
-	// Blocked-kernel buffers (see queryblock.go): the site-major query code
-	// block and the per-query output accumulator.
+	// Phase-1 buffers (see queryblock.go): the site-major query code block,
+	// the per-query output accumulator and the lazy prescore row.
 	blkCodes []uint32
 	blkOut   []float64
+	prow     PrescoreRow
 
 	// Phase-2 branch-length tables (see sumtable.go), created on first use.
 	sum *Sumtable

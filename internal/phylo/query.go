@@ -5,11 +5,9 @@ import (
 	"math"
 )
 
-// This file contains the placement-specific kernels: scoring a query
-// sequence against an insertion-point CLV ("branch CLV"), and the
-// pre-placement lookup-table rows that memoize the branch-side constants
-// (EPA-NG's ≈15× pre-scoring speedup, the structure whose memory footprint
-// causes the runtime cliff in the paper's Fig. 3).
+// This file contains the per-query placement kernel: scoring a query
+// sequence against an insertion-point CLV ("branch CLV"). Phase 1's
+// prescore rows and block kernel are in queryblock.go.
 
 // QueryLogLik returns the log-likelihood of placing a query on a branch,
 // given the branch's insertion-point CLV (pattern-indexed), its scale
@@ -41,7 +39,16 @@ func (p *Partition) QueryLogLikScratch(bclv []float64, bscale []int32, query []u
 	// piP[r][s'][s] = π_s · P^r_ss': with this transposed, π-folded view the
 	// per-site work becomes Σ_r f_r Σ_{s'∈code} Σ_s piP[r][s'][s]·bclv[s],
 	// and the inner Σ_s is a dense dot product regardless of ambiguity.
-	piP := foldPendant(p, ppend, sc)
+	pi := p.Model.Freqs()
+	sc.piP = grow(sc.piP, R*S*S)
+	piP := sc.piP
+	for r := 0; r < R; r++ {
+		for s := 0; s < S; s++ {
+			for sp := 0; sp < S; sp++ {
+				piP[(r*S+sp)*S+s] = pi[s] * ppend[(r*S+s)*S+sp]
+			}
+		}
+	}
 
 	total := 0.0
 	for site, pat := range p.Comp.SiteToPattern {
@@ -66,73 +73,6 @@ func (p *Partition) QueryLogLikScratch(bclv []float64, bscale []int32, query []u
 			site64 += p.Rates.Weights[r] * sum
 		}
 		total += math.Log(site64) - float64(bscale[pat])*logScaleFactor
-	}
-	return total
-}
-
-// PrescoreRowLen returns the number of float64 values in one pre-placement
-// lookup-table row (one branch): patterns × states.
-func (p *Partition) PrescoreRowLen() int { return p.patterns * p.states }
-
-// BuildPrescoreRow fills dst (PrescoreRowLen values) with the branch-side
-// constants of the placement likelihood under pendant matrices ppend:
-//
-//	dst[pat·S+s'] = Σ_r f_r Σ_s π_s bclv[pat][r][s] P^r_ss'
-//
-// A query's pre-placement score is then Σ_site log Σ_{s'∈code} dst[pat·S+s'],
-// i.e. PrescoreQuery. Because the expression is linear in the tip vector,
-// ambiguity codes are handled exactly by summing entries.
-func (p *Partition) BuildPrescoreRow(dst []float64, bclv []float64, ppend []float64) {
-	if len(dst) != p.PrescoreRowLen() {
-		panic(fmt.Sprintf("phylo: prescore row length %d, want %d", len(dst), p.PrescoreRowLen()))
-	}
-	S, R := p.states, p.nrates
-	pi := p.Model.Freqs()
-	for pat := 0; pat < p.patterns; pat++ {
-		out := dst[pat*S : pat*S+S]
-		for s := range out {
-			out[s] = 0
-		}
-		base := pat * R * S
-		for r := 0; r < R; r++ {
-			bv := bclv[base+r*S : base+r*S+S]
-			fr := p.Rates.Weights[r]
-			pr := ppend[r*S*S : (r+1)*S*S]
-			for s := 0; s < S; s++ {
-				w := fr * pi[s] * bv[s]
-				if w == 0 {
-					continue
-				}
-				row := pr[s*S : s*S+S]
-				for sp := 0; sp < S; sp++ {
-					out[sp] += w * row[sp]
-				}
-			}
-		}
-	}
-}
-
-// PrescoreQuery evaluates a query against a prescore row built by
-// BuildPrescoreRow, with the branch's scale counters. It returns exactly the
-// same value as QueryLogLik for the pendant length the row was built with.
-func (p *Partition) PrescoreQuery(row []float64, bscale []int32, query []uint32, skipGaps bool) float64 {
-	S := p.states
-	gap := p.Comp.Alphabet.GapMask()
-	total := 0.0
-	for site, pat := range p.Comp.SiteToPattern {
-		code := query[site]
-		if skipGaps && code == gap {
-			continue
-		}
-		rs := row[pat*S : pat*S+S]
-		sum := 0.0
-		c := code
-		for c != 0 {
-			sp := trailingZeros32(c)
-			c &= c - 1
-			sum += rs[sp]
-		}
-		total += math.Log(sum) - float64(bscale[pat])*logScaleFactor
 	}
 	return total
 }

@@ -73,11 +73,11 @@ func TestPrescoreMatchesQueryLogLik(t *testing.T) {
 	row := make([]float64, fx.p.PrescoreRowLen())
 	for _, e := range fx.tr.Edges[:5] {
 		bclv, bscale := fx.insertionCLV(e)
-		fx.p.BuildPrescoreRow(row, bclv, ppend)
+		fx.p.NewScratch().BuildPrescoreRow(row, bclv, bscale, ppend)
 		for trial := 0; trial < 5; trial++ {
 			q := fx.randomQuery(fx.p.Comp.OriginalWidth(), 0.2)
 			direct := fx.p.QueryLogLik(bclv, bscale, q, ppend, true)
-			viaRow := fx.p.PrescoreQuery(row, bscale, q, true)
+			viaRow := prescoreOne(fx.p, &PrescoreRow{Vals: row}, q, true)
 			if math.Abs(direct-viaRow) > 1e-9*(1+math.Abs(direct)) {
 				t.Fatalf("edge %d trial %d: direct %.12f vs prescore %.12f", e.ID, trial, direct, viaRow)
 			}
@@ -247,13 +247,13 @@ func TestPrescoreRowProperty(t *testing.T) {
 		ppend := make([]float64, p.PLen())
 		p.FillP(ppend, 0.07)
 		row := make([]float64, p.PrescoreRowLen())
-		p.BuildPrescoreRow(row, dst, ppend)
+		p.NewScratch().BuildPrescoreRow(row, dst, scale, ppend)
 		q := make([]uint32, 20)
 		for i := range q {
 			q[i] = 1 << uint(rng.Intn(4))
 		}
 		d := p.QueryLogLik(dst, scale, q, ppend, true)
-		v := p.PrescoreQuery(row, scale, q, true)
+		v := prescoreOne(p, &PrescoreRow{Vals: row}, q, true)
 		return math.Abs(d-v) < 1e-9*(1+math.Abs(d))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -5,19 +5,97 @@ import (
 	"math"
 )
 
-// This file contains the blocked (query-block × branch) placement kernels:
-// PrescoreQuery / QueryLogLikScratch batched over Q queries against one
-// resident prescore row or branch CLV. The query codes are laid out
-// structure-of-arrays (site-major: block[site*nq+q]), so the inner loop over
-// the query block reads contiguous codes and writes contiguous per-query
-// accumulators while the branch-side row stays cache-resident for the whole
-// block.
+// This file contains phase 1: log-space prescore rows, which memoize a
+// branch's side of the placement likelihood (EPA-NG's pre-placement lookup
+// table, whose footprint causes the paper's Fig. 3 cliff), and the one
+// kernel that scores a site-major (block[site*nq+q]) query block against a
+// row. The lookup table holds complete rows; below its floor each worker
+// fills a lazy row cell by cell with the same code, so scores are
+// bit-identical across tile sizes and with the lookup table on or off.
+
+// unfilled marks a lazy row cell not computed yet. No entry can hold it: an
+// entry is the log of a finite value minus a finite scale penalty.
+var unfilled = math.Inf(1)
+
+// PrescoreRow is one branch's log-space prescore row (PrescoreRowLen values):
 //
-// The default kernels perform, per (query, branch) cell, exactly the
-// floating-point operations of their per-query counterparts in exactly the
-// same site order — only branch-independent subexpressions are hoisted, which
-// changes neither values nor order — so placement output is bit-identical
-// regardless of the tile sizes the caller picks.
+//	Vals[pat·S+s'] = log(Σ_r f_r Σ_s π_s bclv[pat][r][s] P^r_ss') − bscale[pat]·log 2^256
+//
+// the log-likelihood contribution of a query site in state s' on pattern
+// pat under the pendant matrices P the row was built with. A lazy row also
+// keeps its branch's midpoint CLV, scale counters and pendant matrices, and
+// computes each unfilled cell on first touch.
+type PrescoreRow struct {
+	Vals []float64
+	// Lazy source (nil for a complete row); fpi[r·S+s] = f_r·π_s.
+	bclv   []float64
+	bscale []int32
+	ppend  []float64
+	fpi    []float64
+}
+
+// PrescoreRowLen returns the number of float64 values in one prescore row
+// (one branch): patterns × states.
+func (p *Partition) PrescoreRowLen() int { return p.patterns * p.states }
+
+// BuildPrescoreRow fills dst (PrescoreRowLen values) with the complete
+// prescore row of a branch with midpoint insertion CLV bclv, scale counters
+// bscale and pendant matrices ppend — every cell of the scratch's lazy row.
+func (s *Scratch) BuildPrescoreRow(dst []float64, bclv []float64, bscale []int32, ppend []float64) {
+	if len(dst) != s.p.PrescoreRowLen() {
+		panic(fmt.Sprintf("phylo: prescore row length %d, want %d", len(dst), s.p.PrescoreRowLen()))
+	}
+	r := s.LazyPrescoreRow(bclv, bscale, ppend)
+	filled := 0
+	for i := range dst {
+		dst[i] = r.cell(s.p, i/s.p.states, i%s.p.states, &filled)
+	}
+}
+
+// LazyPrescoreRow resets the scratch's prescore row to a lazy row over one
+// branch's midpoint CLV bclv, scale counters bscale and pendant matrices
+// ppend: every cell is unfilled until PrescoreQueryBlock first reads it. The
+// row is reused across calls, so it allocates only on first use.
+func (s *Scratch) LazyPrescoreRow(bclv []float64, bscale []int32, ppend []float64) *PrescoreRow {
+	p, r := s.p, &s.prow
+	r.Vals = grow(r.Vals, p.PrescoreRowLen())
+	for i := range r.Vals {
+		r.Vals[i] = unfilled
+	}
+	r.fpi = grow(r.fpi, p.nrates*p.states)
+	pi := p.Model.Freqs()
+	for i := range r.fpi {
+		r.fpi[i] = p.Rates.Weights[i/p.states] * pi[i%p.states]
+	}
+	r.bclv, r.bscale, r.ppend = bclv, bscale, ppend
+	return r
+}
+
+// cell returns row cell (pat, sp), first computing and storing it if the row
+// is lazy and the cell unfilled: the linear term accumulated over rate
+// categories and states in ascending order, zero weights skipped, then its
+// log minus the pattern's scale penalty. filled counts the computed cells.
+func (r *PrescoreRow) cell(p *Partition, pat, sp int, filled *int) float64 {
+	S := p.states
+	v := r.Vals[pat*S+sp]
+	if v != unfilled {
+		return v
+	}
+	RS := len(r.fpi)
+	bv := r.bclv[pat*RS : (pat+1)*RS]
+	sum := 0.0
+	for i, f := range r.fpi {
+		w := f * bv[i]
+		if w == 0 {
+			continue
+		}
+		sum += w * r.ppend[i*S+sp]
+	}
+	v = math.Log(sum) - float64(r.bscale[pat])*logScaleFactor
+	r.Vals[pat*S+sp] = v
+	*filled++
+	return v
+}
 
 // QueryBlockLen returns the length of a site-major query-code block holding
 // nq queries: nq × original alignment width.
@@ -42,119 +120,72 @@ func (p *Partition) FillQueryBlock(dst []uint32, queries [][]uint32) {
 	}
 }
 
-// PrescoreQueryBlock evaluates nq queries (site-major code block, see
+// PrescoreQueryBlock scores nq queries (site-major code block, see
 // FillQueryBlock) against one prescore row in a single pass over the sites,
-// writing each query's score to out[q]. out[q] is bit-identical to
-// PrescoreQuery(row, bscale, query q, skipGaps): the per-cell operations and
-// their site order are exactly the per-query kernel's.
-func (p *Partition) PrescoreQueryBlock(row []float64, bscale []int32, block []uint32, nq int, skipGaps bool, out []float64) {
+// writing each query's score to out[q], and returns the number of lazy row
+// cells it filled (one log each). A single-state site adds its row entry; an
+// ambiguity code adds the log-sum-exp of its states' entries; with skipGaps,
+// gap sites add nothing (EPA-NG's premasking: a gap contributes the same
+// constant on every branch, so it cannot change the ranking).
+func (p *Partition) PrescoreQueryBlock(row *PrescoreRow, block []uint32, nq int, skipGaps bool, out []float64) int {
 	S := p.states
 	gap := p.Comp.Alphabet.GapMask()
-	checkQueryBlock(p, block, nq, out)
+	if len(block) < p.QueryBlockLen(nq) || len(out) < nq {
+		panic(fmt.Sprintf("phylo: query block has %d entries and output %d, want %d and %d", len(block), len(out), p.QueryBlockLen(nq), nq))
+	}
 	out = out[:nq]
 	for q := range out {
 		out[q] = 0
 	}
+	filled := 0
 	for site, pat := range p.Comp.SiteToPattern {
-		rs := row[pat*S : pat*S+S]
-		pen := float64(bscale[pat]) * logScaleFactor
+		rs := row.Vals[pat*S : pat*S+S : pat*S+S]
 		codes := block[site*nq : site*nq+nq]
 		for q, code := range codes {
-			if skipGaps && code == gap {
-				continue
-			}
-			sum := 0.0
-			c := code
-			for c != 0 {
-				sp := trailingZeros32(c)
-				c &= c - 1
-				sum += rs[sp]
-			}
-			out[q] += math.Log(sum) - pen
-		}
-	}
-}
-
-// QueryLogLikBlockScratch evaluates nq queries (site-major code block)
-// against one branch CLV in a single pass over the sites, writing each
-// query's log-likelihood to out[q]. The π-folded pendant matrices are built
-// once per call (not once per query). out[q] is bit-identical to
-// QueryLogLikScratch(bclv, bscale, query q, ppend, skipGaps, sc).
-func (p *Partition) QueryLogLikBlockScratch(bclv []float64, bscale []int32, block []uint32, nq int, ppend []float64, skipGaps bool, sc *Scratch, out []float64) {
-	S, R := p.states, p.nrates
-	gap := p.Comp.Alphabet.GapMask()
-	checkQueryBlock(p, block, nq, out)
-	out = out[:nq]
-	piP := foldPendant(p, ppend, sc)
-	for q := range out {
-		out[q] = 0
-	}
-	for site, pat := range p.Comp.SiteToPattern {
-		base := pat * R * S
-		pen := float64(bscale[pat]) * logScaleFactor
-		codes := block[site*nq : site*nq+nq]
-		for q, code := range codes {
-			if skipGaps && code == gap {
-				continue
-			}
-			site64 := 0.0
-			for r := 0; r < R; r++ {
-				bv := bclv[base+r*S : base+r*S+S]
-				sum := 0.0
-				c := code
-				for c != 0 {
-					sp := trailingZeros32(c)
-					c &= c - 1
-					row := piP[(r*S+sp)*S : (r*S+sp)*S+S]
-					for s := 0; s < S; s++ {
-						sum += row[s] * bv[s]
-					}
+			if code != 0 && code&(code-1) == 0 {
+				v := rs[trailingZeros32(code)]
+				if v == unfilled {
+					v = row.cell(p, pat, trailingZeros32(code), &filled)
 				}
-				site64 += p.Rates.Weights[r] * sum
+				out[q] += v
+				continue
 			}
-			out[q] += math.Log(site64) - pen
+			if skipGaps && code == gap {
+				continue
+			}
+			out[q] += row.ambiguous(p, pat, code, &filled)
 		}
 	}
+	return filled
 }
 
-// foldPendant builds the π-folded pendant view piP[r][s'][s] = π_s·P^r_ss'
-// into the scratch, exactly as QueryLogLikScratch does per query.
-func foldPendant(p *Partition, ppend []float64, sc *Scratch) []float64 {
-	S, R := p.states, p.nrates
-	pi := p.Model.Freqs()
-	sc.piP = grow(sc.piP, R*S*S)
-	piP := sc.piP
-	for r := 0; r < R; r++ {
-		for s := 0; s < S; s++ {
-			for sp := 0; sp < S; sp++ {
-				piP[(r*S+sp)*S+s] = pi[s] * ppend[(r*S+s)*S+sp]
-			}
-		}
+// ambiguous returns the score of an ambiguity code on pattern pat: the log
+// of its states' summed linear entries, as a log-sum-exp of the row's log
+// entries. Code 0 (no state) scores log 0.
+func (r *PrescoreRow) ambiguous(p *Partition, pat int, code uint32, filled *int) float64 {
+	m := math.Inf(-1)
+	for c := code; c != 0; c &= c - 1 {
+		m = math.Max(m, r.cell(p, pat, trailingZeros32(c), filled))
 	}
-	return piP
+	if math.IsInf(m, -1) {
+		return m
+	}
+	sum := 0.0
+	for c := code; c != 0; c &= c - 1 {
+		sum += math.Exp(r.Vals[pat*p.states+trailingZeros32(c)] - m)
+	}
+	return m + math.Log(sum)
 }
 
-func checkQueryBlock(p *Partition, block []uint32, nq int, out []float64) {
-	if len(block) < p.QueryBlockLen(nq) {
-		panic(fmt.Sprintf("phylo: query block has %d entries, want %d", len(block), p.QueryBlockLen(nq)))
-	}
-	if len(out) < nq {
-		panic(fmt.Sprintf("phylo: block output has %d entries, want %d", len(out), nq))
-	}
-}
-
-// QueryBlockCodes returns the reusable site-major query-code buffer with at
-// least n entries, growing it on first use.
-func (s *Scratch) QueryBlockCodes(n int) []uint32 {
+// QueryTile fills the scratch's reusable site-major code block with queries
+// (see FillQueryBlock) and returns it with a per-query accumulator, growing
+// both on first use.
+func (s *Scratch) QueryTile(queries [][]uint32) ([]uint32, []float64) {
+	n := s.p.QueryBlockLen(len(queries))
 	if cap(s.blkCodes) < n {
 		s.blkCodes = make([]uint32, n)
 	}
-	return s.blkCodes[:n]
-}
-
-// BlockOut returns the reusable per-query block accumulator with at least n
-// entries, growing it on first use.
-func (s *Scratch) BlockOut(n int) []float64 {
-	s.blkOut = grow(s.blkOut, n)
-	return s.blkOut
+	s.p.FillQueryBlock(s.blkCodes[:n], queries)
+	s.blkOut = grow(s.blkOut, len(queries))
+	return s.blkCodes[:n], s.blkOut
 }

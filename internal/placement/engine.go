@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"phylomem/internal/clvstore"
@@ -186,13 +187,13 @@ type Engine struct {
 	spillIndexBytes int64
 	spillBufBytes   int64
 
-	// Pre-placement lookup table: one prescore row + scale counters per
-	// branch (nil when disabled).
-	lookup      []float64
-	lookupScale []int32
+	// Pre-placement lookup table: one log-space prescore row per branch
+	// (nil when disabled).
+	lookup []float64
 
 	branchOrder []*tree.Edge
-	pendant0    float64 // default pendant length for prescoring
+	pendant0    float64   // default pendant length for prescoring
+	ppend0      []float64 // pendant matrices at pendant0, shared read-only
 	avgBranch   float64
 
 	// Posterior-integration grids (nil unless Config.Scoring is bayes):
@@ -259,8 +260,9 @@ type Engine struct {
 	// (New) happens before the engine is shared and needs no lock.
 	runMu sync.Mutex
 
-	closed bool
-	stats  RunStats
+	closed   bool
+	stats    RunStats
+	logCalls atomic.Uint64 // RunStats.Phase1LogCalls, added by phase-1 workers
 }
 
 // RunStats aggregates the engine's activity since construction.
@@ -282,6 +284,10 @@ type RunStats struct {
 	AMC             bool
 	Slots           int
 	ChunksProcessed int
+
+	// Phase1LogCalls counts prescore row cells filled — one log each: the
+	// whole lookup table at construction, or the block path's lazy cells.
+	Phase1LogCalls uint64
 
 	// Optimizer counts phase 2's branch-length solver work (see
 	// scoreCandidate); every count is a deterministic function of the
@@ -533,6 +539,8 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 	if e.pendant0 <= 0 {
 		e.pendant0 = 0.01
 	}
+	e.ppend0 = make([]float64, part.PLen())
+	part.FillP(e.ppend0, e.pendant0)
 	if cfg.bayes() {
 		e.initBayesGrids()
 	}
@@ -718,6 +726,7 @@ func (e *Engine) Stats() RunStats {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 	s := e.stats
+	s.Phase1LogCalls = e.logCalls.Load()
 	if e.mgr != nil {
 		s.CLVStats = e.mgr.Stats()
 	}
@@ -808,38 +817,31 @@ func (e *Engine) Reclaim() (rs core.ReclaimStats, ok bool) {
 	return e.mgr.ReclaimStats(), true
 }
 
-// buildLookup computes the pre-placement lookup table: one prescore row per
-// branch, built from the branch's midpoint insertion CLV, fanned out over
-// the worker pool. In full-CLV mode the branches are embarrassingly parallel
-// (operands are concurrent-read-safe). Under AMC the slot manager is not
-// concurrency-safe, so branches are processed block-wise: both directional
-// CLVs of a block's branches are acquired and snapshotted serially through
-// the manager, then the midpoint CLVs and prescore rows are built in
-// parallel from the snapshots. Every branch's row is written by exactly one
+// buildLookup computes the pre-placement lookup table: one log-space
+// prescore row per branch, built from the branch's midpoint insertion CLV,
+// fanned out over the worker pool. In full-CLV mode the branches are
+// embarrassingly parallel (operands are concurrent-read-safe). Under AMC
+// the slot manager is not concurrency-safe, so branches are processed
+// block-wise: both directional CLVs of a block's branches are acquired and
+// snapshotted serially through the manager, then the midpoint CLVs and
+// prescore rows are built in parallel from the snapshots. Every branch's row is written by exactly one
 // worker from the same operand values the serial sweep would use, so the
 // table is bit-identical regardless of the worker count.
 func (e *Engine) buildLookup(ctx context.Context) error {
 	start := time.Now()
 	rowLen := e.part.PrescoreRowLen()
-	sl := e.part.ScaleLen()
 	e.lookup = make([]float64, e.tr.NumBranches()*rowLen)
-	e.lookupScale = make([]int32, e.tr.NumBranches()*sl)
 	e.acct.Alloc("lookup-table", e.plan.LookupBytes)
 
-	// The pendant-edge matrix is shared read-only across workers.
-	ppend := make([]float64, e.part.PLen())
-	e.part.FillP(ppend, e.pendant0)
-
 	// buildRow derives one branch's midpoint insertion CLV from its two
-	// directional operands and writes the branch's prescore row + scales.
+	// directional operands and writes the branch's prescore row.
 	buildRow := func(edge *tree.Edge, opA, opB phylo.Operand, sc *phylo.Scratch) {
 		bclv, bscale := sc.CLV(0)
 		pu, pv := sc.P(0), sc.P(1)
 		e.part.FillP(pu, edge.Length/2)
 		e.part.FillP(pv, edge.Length/2)
 		e.part.UpdateCLVScratch(bclv, bscale, opA, opB, pu, pv, sc)
-		e.part.BuildPrescoreRow(e.lookup[edge.ID*rowLen:(edge.ID+1)*rowLen], bclv, ppend)
-		copy(e.lookupScale[edge.ID*sl:(edge.ID+1)*sl], bscale)
+		sc.BuildPrescoreRow(e.lookup[edge.ID*rowLen:(edge.ID+1)*rowLen], bclv, bscale, e.ppend0)
 	}
 
 	if e.mgr == nil {
@@ -877,6 +879,8 @@ func (e *Engine) buildLookup(ctx context.Context) error {
 	}
 	d := time.Since(start)
 	e.stats.LookupBuild = d
+	e.logCalls.Add(uint64(len(e.lookup)))
+	e.ktel.AddLogCalls(uint64(len(e.lookup)))
 	e.stats.LookupWorkers = e.pool.Workers()
 	e.pipe.AddLookupBuild(d)
 	e.trace.Emit(telemetry.Event{Ev: "lookup_build", DurNS: int64(d),
@@ -915,9 +919,8 @@ func (e *Engine) acquireBranchEnds(edge *tree.Edge) (opA, opB phylo.Operand, rel
 	}, nil
 }
 
-// lookupRow returns branch e's prescore row and scale counters.
-func (e *Engine) lookupRow(edgeID int) ([]float64, []int32) {
+// lookupRow returns branch e's prescore row.
+func (e *Engine) lookupRow(edgeID int) []float64 {
 	rowLen := e.part.PrescoreRowLen()
-	sl := e.part.ScaleLen()
-	return e.lookup[edgeID*rowLen : (edgeID+1)*rowLen], e.lookupScale[edgeID*sl : (edgeID+1)*sl]
+	return e.lookup[edgeID*rowLen : (edgeID+1)*rowLen]
 }

@@ -104,13 +104,12 @@ func (e *Engine) placeChunk(ctx context.Context, chunk []Query) ([]jplace.Placem
 //
 // Phase 1 walks the (query × branch) score matrix in query-tile ×
 // branch-tile blocks, branch-tile-outer: within one task, each branch's
-// prescore row (or midpoint CLV under AMC) streams through the cache exactly
-// once while the tile's site-major query-code block and accumulators stay
-// resident — instead of re-streaming every row from DRAM once per query.
-// Every cell is still computed by exactly one worker with the per-cell FP
-// operations of the per-query kernels in the same site order, so the output
-// is bit-identical across tile sizes and thread counts (and to the former
-// untiled loop).
+// log-space prescore row streams through the cache exactly once while the
+// tile's site-major query-code block and accumulators stay resident. The
+// rows are the lookup table's, or — without it — lazy per-worker rows filled
+// from the block's midpoint CLVs with the lookup build's arithmetic. Every
+// score is one worker's per-site sum in site order, so the output is
+// bit-identical across tile sizes, thread counts, and lookup on or off.
 func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Placements, error) {
 	nq := len(chunk)
 	nb := e.tr.NumBranches()
@@ -122,7 +121,6 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 
 	// Phase 1: pre-placement.
 	start := time.Now()
-	width := e.part.Comp.OriginalWidth()
 	tq := e.tileQ
 	if tq > nq {
 		tq = nq
@@ -134,64 +132,23 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 			tb = nb
 		}
 		nbt := (nb + tb - 1) / tb
-		rowBytes := int64(e.part.PrescoreRowLen()) * 8
 		// Task index order is branch-tile-major: consecutive tasks share a
 		// branch tile, so workers running neighboring tasks stream the same
 		// lookup rows through the shared cache.
 		err := e.pool.ForEachContext(ctx, nbt*nqt, func(ti, worker int) {
 			bt, qt := ti/nqt, ti%nqt
-			qlo, qhi := qt*tq, (qt+1)*tq
-			if qhi > nq {
-				qhi = nq
-			}
-			blo, bhi := bt*tb, (bt+1)*tb
-			if bhi > nb {
-				bhi = nb
-			}
-			n := qhi - qlo
-			sc := e.wscratch[worker]
-			block := sc.QueryBlockCodes(n * width)
-			e.part.FillQueryBlock(block, e.queryTileRefs(worker, chunk, qlo, qhi))
-			out := sc.BlockOut(n)
-			for b := blo; b < bhi; b++ {
-				lr, ls := e.lookupRow(b)
-				e.part.PrescoreQueryBlock(lr, ls, block, n, e.cfg.SkipGaps, out)
-				for i := 0; i < n; i++ {
-					scores[(qlo+i)*nb+b] = out[i]
-				}
-			}
-			e.ktel.TileDone(bhi-blo, int64(n*width)*4+int64(n)*8+rowBytes)
+			e.prescoreLookupTile(chunk, qt*tq, min((qt+1)*tq, nq), bt*tb, min((bt+1)*tb, nb), worker, scores)
 		})
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		ppend := make([]float64, e.part.PLen())
-		e.part.FillP(ppend, e.pendant0)
-		clvBytes := int64(e.part.CLVLen()) * 8
 		// The branch tile IS the precomputed block here (runBlocks partitions
-		// by plan.BlockSize), so the snapshotted CLV block of the current tile
-		// is the only branch-side data the query tiles stream.
+		// by plan.BlockSize): each query tile fills a lazy row per branch of
+		// the current block from its snapshotted midpoint CLV.
 		err := e.runBlocks(ctx, e.branchOrder, func(blk *branchBlock) error {
 			e.pool.ForEach(nqt, func(qt, worker int) {
-				qlo, qhi := qt*tq, (qt+1)*tq
-				if qhi > nq {
-					qhi = nq
-				}
-				n := qhi - qlo
-				sc := e.wscratch[worker]
-				block := sc.QueryBlockCodes(n * width)
-				e.part.FillQueryBlock(block, e.queryTileRefs(worker, chunk, qlo, qhi))
-				out := sc.BlockOut(n)
-				for i := range blk.entries {
-					ent := &blk.entries[i]
-					e.part.QueryLogLikBlockScratch(ent.m, ent.ms, block, n, ppend, e.cfg.SkipGaps, sc, out)
-					id := ent.edge.ID
-					for i2 := 0; i2 < n; i2++ {
-						scores[(qlo+i2)*nb+id] = out[i2]
-					}
-				}
-				e.ktel.TileDone(len(blk.entries), int64(n*width)*4+int64(n)*8+clvBytes)
+				e.prescoreBlockTile(blk, chunk, qt*tq, min((qt+1)*tq, nq), worker, scores)
 			})
 			return nil
 		})
@@ -342,6 +299,44 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 		e.computeEDPL(out)
 	}
 	return out, nil
+}
+
+// prescoreLookupTile scores queries [qlo, qhi) of chunk against the lookup
+// rows of branches [blo, bhi) into scores, on the worker's scratch.
+func (e *Engine) prescoreLookupTile(chunk []Query, qlo, qhi, blo, bhi, worker int, scores []float64) {
+	block, out := e.queryTile(chunk, qlo, qhi, worker)
+	n, nb := qhi-qlo, e.tr.NumBranches()
+	var row phylo.PrescoreRow
+	for b := blo; b < bhi; b++ {
+		row.Vals = e.lookupRow(b)
+		e.part.PrescoreQueryBlock(&row, block, n, e.cfg.SkipGaps, out)
+		for i := 0; i < n; i++ {
+			scores[(qlo+i)*nb+b] = out[i]
+		}
+	}
+	e.ktel.TileDone(bhi-blo, e.tileResidentBytes(n))
+}
+
+// prescoreBlockTile scores queries [qlo, qhi) of chunk against every branch
+// of blk into scores, filling the worker's lazy prescore row once per branch
+// and counting the cells filled as log calls.
+func (e *Engine) prescoreBlockTile(blk *branchBlock, chunk []Query, qlo, qhi, worker int, scores []float64) {
+	block, out := e.queryTile(chunk, qlo, qhi, worker)
+	n, nb := qhi-qlo, e.tr.NumBranches()
+	sc := e.wscratch[worker]
+	logs := 0
+	for i := range blk.entries {
+		ent := &blk.entries[i]
+		row := sc.LazyPrescoreRow(ent.m, ent.ms, e.ppend0)
+		logs += e.part.PrescoreQueryBlock(row, block, n, e.cfg.SkipGaps, out)
+		id := ent.edge.ID
+		for q := 0; q < n; q++ {
+			scores[(qlo+q)*nb+id] = out[q]
+		}
+	}
+	e.logCalls.Add(uint64(logs))
+	e.ktel.AddLogCalls(uint64(logs))
+	e.ktel.TileDone(len(blk.entries), e.tileResidentBytes(n))
 }
 
 // Phase-2 solver settings. p2Tol is the absolute branch-length tolerance of

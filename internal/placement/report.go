@@ -44,6 +44,7 @@ type RunStatsReport struct {
 	SpillReloads      uint64  `json:"spill_reloads"`
 	SpillErrors       uint64  `json:"spill_errors"`
 	SpillLeafWork     uint64  `json:"spill_reload_leaf_work_saved"`
+	Phase1LogCalls    uint64  `json:"phase1_log_calls"`
 
 	// Phase-2 optimizer counters (see OptimizerStats).
 	Phase2Candidates    uint64 `json:"phase2_candidates"`
@@ -125,6 +126,7 @@ func (e *Engine) Report() Report {
 			SpillReloads:      s.CLVStats.SpillReloads,
 			SpillErrors:       s.CLVStats.SpillErrors,
 			SpillLeafWork:     s.CLVStats.ReloadLeafWorkSaved,
+			Phase1LogCalls:    s.Phase1LogCalls,
 
 			Phase2Candidates:    s.Optimizer.Candidates,
 			Phase2Evals:         s.Optimizer.Evals,

@@ -220,7 +220,11 @@ func TestPipelineByteIdentity(t *testing.T) {
 	fx := newFixture(t, 25, 16, 120, 14)
 	base := testConfig()
 	base.ChunkSize = 4
-	amcMem := tightMaxMem(t, fx, base, true)
+	// Size the limit for the matrix's widest pool: every worker's prescore
+	// row is planned memory.
+	wide := base
+	wide.Threads = 8
+	amcMem := tightMaxMem(t, fx, wide, true)
 
 	render := func(cfg Config) []byte {
 		t.Helper()

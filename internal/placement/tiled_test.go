@@ -3,6 +3,7 @@ package placement
 import (
 	"bytes"
 	"context"
+	"math/bits"
 	"testing"
 
 	"phylomem/internal/jplace"
@@ -41,7 +42,11 @@ func TestTileByteIdentity(t *testing.T) {
 	fx := newFixture(t, 47, 16, 120, 21)
 	base := testConfig()
 	base.ChunkSize = 6
-	amcMem := tightMaxMem(t, fx, base, true)
+	// Size the limit for the matrix's widest pool: every worker's prescore
+	// row is planned memory.
+	wide := base
+	wide.Threads = 8
+	amcMem := tightMaxMem(t, fx, wide, true)
 
 	ref := renderStream(t, fx, base) // auto tile sizes, full memory
 	for _, tile := range []int{1, 3, 64} {
@@ -86,5 +91,74 @@ func TestKernelTelemetryPopulated(t *testing.T) {
 	}
 	if k.BlockKernelCalls < k.TilesExecuted {
 		t.Fatalf("fewer block calls (%d) than tiles (%d)", k.BlockKernelCalls, k.TilesExecuted)
+	}
+}
+
+// TestPhase1LogCalls: the log counter is the prescore cells filled — the
+// whole lookup table once, or, without it, each (pattern, state) cell a
+// query tile touches once per branch — and RunStats and the kernel
+// telemetry agree.
+func TestPhase1LogCalls(t *testing.T) {
+	fx := newFixture(t, 61, 12, 80, 9)
+	nb, S := fx.tr.NumBranches(), fx.part.States()
+	gap := fx.part.Comp.Alphabet.GapMask()
+	// One-query tiles: each query fills its own distinct cells per branch.
+	var perQuery uint64
+	for _, q := range fx.queries {
+		touched := map[int]bool{}
+		for site, code := range q.Codes {
+			if code == gap {
+				continue
+			}
+			for c := code; c != 0; c &= c - 1 {
+				touched[fx.part.Comp.SiteToPattern[site]*S+bits.TrailingZeros32(c)] = true
+			}
+		}
+		perQuery += uint64(len(touched))
+	}
+	for _, tc := range []struct {
+		name   string
+		lookup bool
+		want   uint64
+	}{
+		{"lookup", true, uint64(nb * fx.part.PrescoreRowLen())},
+		{"lazy", false, uint64(nb) * perQuery},
+	} {
+		cfg := testConfig()
+		cfg.DisableLookup = !tc.lookup
+		cfg.TileQueries = 1
+		cfg.Telemetry = telemetry.NewSink()
+		rep, _ := placeWithSink(t, fx, cfg)
+		if got := rep.RunStats.Phase1LogCalls; got != tc.want {
+			t.Fatalf("%s: %d log calls, want %d", tc.name, got, tc.want)
+		}
+		if got := rep.Telemetry.Kernel.LogCalls; got != tc.want {
+			t.Fatalf("%s: kernel telemetry counts %d log calls, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestPrescoreBlockTileAllocFree: once warm, a block-path phase-1 tile —
+// query block fill, a lazy row per branch, scoring and scatter — allocates
+// nothing.
+func TestPrescoreBlockTileAllocFree(t *testing.T) {
+	fx := newFixture(t, 63, 12, 80, 9)
+	cfg := testConfig()
+	cfg.DisableLookup = true
+	eng, err := New(fx.part, fx.tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	blk := eng.blockBuf(0)
+	eng.fillBlock(blk, eng.branchOrder[:eng.plan.BlockSize])
+	if blk.err != nil {
+		t.Fatal(blk.err)
+	}
+	scores := make([]float64, len(fx.queries)*fx.tr.NumBranches())
+	run := func() { eng.prescoreBlockTile(blk, fx.queries, 0, len(fx.queries), 0, scores) }
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("block-path tile allocated %v per run, want 0", allocs)
 	}
 }

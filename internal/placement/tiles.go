@@ -7,9 +7,9 @@ import (
 
 // tileCacheBytes is the per-core cache working set the automatic tile sizes
 // aim for: roughly an L2's worth. A query tile's resident footprint — its
-// site-major code block plus the per-query accumulators — is held to half of
-// this, leaving the other half for the branch-side data streaming through
-// the tile (one prescore row or branch CLV at a time).
+// site-major code block plus the per-query accumulators — gets what is left
+// after the branch-side data streaming through the tile: one prescore row
+// (patterns × states float64) at a time, on both phase-1 paths.
 const tileCacheBytes = 1 << 20
 
 // tileQueriesMin/Max clamp the automatic query-tile size: below ~8 queries
@@ -29,7 +29,7 @@ func chooseTiles(cfg Config, part *phylo.Partition, plan memacct.Plan) (tileQ, t
 	width := part.Comp.OriginalWidth()
 	// Codes (4 bytes/site) plus one float64 accumulator per query.
 	perQuery := width*4 + 8
-	tileQ = tileCacheBytes / 2 / perQuery
+	tileQ = (tileCacheBytes - part.PrescoreRowLen()*8) / perQuery
 	if tileQ < tileQueriesMin {
 		tileQ = tileQueriesMin
 	}
@@ -95,13 +95,20 @@ type phase2Task struct {
 	cand int32
 }
 
-// queryTileRefs collects the code slices of chunk[qlo:qhi] into the worker's
-// reusable reference buffer for phylo.FillQueryBlock.
-func (e *Engine) queryTileRefs(worker int, chunk []Query, qlo, qhi int) [][]uint32 {
+// queryTile fills the worker's site-major code block with queries [qlo, qhi)
+// of chunk — through the worker's reusable reference buffer — and returns it
+// with the worker's per-query accumulator.
+func (e *Engine) queryTile(chunk []Query, qlo, qhi, worker int) ([]uint32, []float64) {
 	refs := e.wrefs[worker][:0]
 	for i := qlo; i < qhi; i++ {
 		refs = append(refs, chunk[i].Codes)
 	}
 	e.wrefs[worker] = refs
-	return refs
+	return e.wscratch[worker].QueryTile(refs)
+}
+
+// tileResidentBytes is an n-query tile's cache-resident footprint: its code
+// block and accumulators plus the one prescore row streaming through it.
+func (e *Engine) tileResidentBytes(n int) int64 {
+	return int64(n*e.part.Comp.OriginalWidth())*4 + int64(n)*8 + int64(e.part.PrescoreRowLen())*8
 }

@@ -129,6 +129,7 @@ type KernelSnapshot struct {
 	TilesExecuted      uint64 `json:"tiles_executed"`
 	BlockKernelCalls   uint64 `json:"block_kernel_calls"`
 	BlockResidentBytes int64  `json:"block_resident_bytes"`
+	LogCalls           uint64 `json:"log_calls"`
 }
 
 // SpillSnapshot is the tiered CLV-eviction section of a Snapshot: records
@@ -282,6 +283,7 @@ func (s *Sink) Snapshot() Snapshot {
 		TilesExecuted:      k.TilesExecuted.Load(),
 		BlockKernelCalls:   k.BlockKernelCalls.Load(),
 		BlockResidentBytes: k.BlockResidentBytes.Load(),
+		LogCalls:           k.LogCalls.Load(),
 	}
 	sp := &s.Spill
 	out.Spill = SpillSnapshot{

@@ -32,7 +32,7 @@ import (
 
 // SchemaVersion identifies the --stats-json layout. Bump on any key rename
 // or removal; additions are backward compatible.
-const SchemaVersion = 3
+const SchemaVersion = 4
 
 // Counter is an atomic event counter.
 type Counter struct{ v atomic.Uint64 }
@@ -471,15 +471,16 @@ func (d *Dedup) SetCacheSize(bytes int64, entries int) {
 // Kernel counts the tiled phase-1 placement kernels' activity: the resolved
 // tile dimensions (levels, set once at engine construction), the number of
 // query-tile × branch-tile tasks executed, the number of block-kernel
-// invocations (one per branch per query tile), and the high-water mark of
-// the bytes a tile keeps cache-resident (its SoA code block, accumulator, and
-// one prescore row or branch CLV).
+// invocations (one per branch per query tile), the high-water mark of the
+// bytes a tile keeps cache-resident (its SoA code block, accumulator, and
+// one prescore row), and the prescore row cells filled — one log each.
 type Kernel struct {
 	TileQueries        Gauge
 	TileBranches       Gauge
 	TilesExecuted      Counter
 	BlockKernelCalls   Counter
 	BlockResidentBytes MaxGauge
+	LogCalls           Counter
 }
 
 // Configure records the engine's resolved tile dimensions.
@@ -500,6 +501,14 @@ func (k *Kernel) TileDone(calls int, residentBytes int64) {
 	k.TilesExecuted.Inc()
 	k.BlockKernelCalls.Add(uint64(calls))
 	k.BlockResidentBytes.Observe(residentBytes)
+}
+
+// AddLogCalls records n prescore row cells filled.
+func (k *Kernel) AddLogCalls(n uint64) {
+	if k == nil {
+		return
+	}
+	k.LogCalls.Add(n)
 }
 
 // Spill counts the tiered CLV-eviction path's activity: instead of always

@@ -234,6 +234,7 @@ func TestSnapshotSchemaStable(t *testing.T) {
 	// not change the key set either.
 	big.KernelGroup().Configure(32, 64)
 	big.KernelGroup().TileDone(64, 1<<20)
+	big.KernelGroup().AddLogCalls(7)
 
 	b, c := shape(small.Snapshot()), shape(big.Snapshot())
 	if b != c {
@@ -242,12 +243,13 @@ func TestSnapshotSchemaStable(t *testing.T) {
 
 	ks := big.Snapshot().Kernel
 	if ks.TileQueries != 32 || ks.TileBranches != 64 ||
-		ks.TilesExecuted != 1 || ks.BlockKernelCalls != 64 || ks.BlockResidentBytes != 1<<20 {
+		ks.TilesExecuted != 1 || ks.BlockKernelCalls != 64 || ks.BlockResidentBytes != 1<<20 || ks.LogCalls != 7 {
 		t.Fatalf("kernel snapshot mismatch: %+v", ks)
 	}
 	// Nil-receiver safety for the hot-path methods.
 	(*Kernel)(nil).Configure(1, 1)
 	(*Kernel)(nil).TileDone(1, 1)
+	(*Kernel)(nil).AddLogCalls(1)
 }
 
 func TestTraceRoundTrip(t *testing.T) {
